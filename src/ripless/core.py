@@ -214,44 +214,18 @@ def max_column_norm(A) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(A) ** 2, axis=0))))
 
 
-def operator_norm(A, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value of A.
+def operator_norm(A) -> float:
+    """Largest singular value of A, from one dense SVD (singular values only).
 
-    Small matrices (either dimension <= 64) go straight to a full SVD.
-    Larger ones use power iteration on the Gram operator to relative
-    tolerance `tol`, with an SVD fallback if the iteration stalls, which
-    happens when the top two singular values nearly coincide.
+    At the sizes the laboratory uses this is faster than power iteration
+    on the Gram operator, and it is exact to working precision even when
+    the top two singular values coincide.
     """
     A = A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
     if A.ndim != 2:
         raise ValueError("operator_norm expects a 2-d array")
     if A.size == 0:
         return 0.0
-    if min(A.shape) <= 64:
-        return float(np.linalg.svd(A, compute_uv=False)[0])
-    # deterministic start with nonzero overlap against any fixed direction
-    ramp = np.linspace(1.0, 2.0, A.shape[1])
-    v = ramp / np.linalg.norm(ramp)
-    sigma_prev, diff_prev = 0.0, np.inf
-    for _ in range(max_iter):
-        w = A @ v
-        v_next = A.conj().T @ w
-        norm_next = np.linalg.norm(v_next)
-        if norm_next == 0.0:
-            return 0.0
-        sigma = np.sqrt(norm_next)
-        v = v_next / norm_next
-        diff = abs(sigma - sigma_prev)
-        if diff == 0.0:
-            return float(sigma)
-        # geometric tail estimate: remaining error ~ diff * r / (1 - r)
-        # where r is the per-step contraction; a bare diff <= tol * sigma
-        # test undershoots badly when the top two singular values are close
-        if np.isfinite(diff_prev) and diff_prev > 0.0:
-            r = diff / diff_prev
-            if r < 1.0 and diff * r / (1.0 - r) <= 0.1 * tol * sigma:
-                return float(sigma)
-        sigma_prev, diff_prev = sigma, diff
     return float(np.linalg.svd(A, compute_uv=False)[0])
 
 

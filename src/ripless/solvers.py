@@ -3,11 +3,15 @@
 All three are first-order methods with no external solver behind them:
 basis pursuit runs ADMM with an exact projection onto the affine feasible set,
 LASSO runs FISTA with gradient-based adaptive restart, and the Dantzig
-selector runs two-block ADMM against its box-constrained reformulation.
-Every returned solution carries a computable optimality certificate: a
-scaled dual point for the two constrained programs and the subgradient
-residual for LASSO. Solvers accept only real systems; complex ensembles
-go through realify() first.
+selector runs two-block ADMM against its box-constrained reformulation,
+with the x-update applied through the eigenpairs of A^T A. Both noisy
+programs return x = 0 exactly, without iterating, when
+||A^T y||_inf <= lam_sigma: zero then meets the LASSO subgradient
+conditions and is Dantzig-feasible with l1 norm 0. Every returned
+solution carries a computable optimality certificate: a scaled dual
+point for the two constrained programs and the subgradient residual for
+LASSO. Solvers accept only real, finite systems; complex ensembles go
+through realify() first.
 
 The module also evaluates the theoretical error-bound shapes for the
 noisy programs and the tube diagnostic used when the true signal is
@@ -57,7 +61,10 @@ def _real_matrix(A) -> np.ndarray:
         raise ValueError("solvers take real systems; pass complex ensembles through realify()")
     if M.ndim != 2:
         raise ValueError("A must be 2-d")
-    return np.asarray(M, dtype=float)
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("A has NaN or infinite entries")
+    return M
 
 
 def _real_vector(y, m: int) -> np.ndarray:
@@ -67,6 +74,8 @@ def _real_vector(y, m: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (m,):
         raise ValueError(f"y must have length {m}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("y has NaN or infinite entries")
     return v
 
 
@@ -233,20 +242,22 @@ def lasso(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL
     FISTA with step 1/L, L = ||A||^2, and gradient-based adaptive
     restart. The subgradient conditions are the stopping rule: off the
     support |[A^T(y - A x)]_i| <= lam_sigma, on the support the
-    correlation equals lam_sigma sign(x_i).
+    correlation equals lam_sigma sign(x_i). When ||A^T y||_inf <=
+    lam_sigma those conditions hold at x = 0, which is returned exactly
+    with zero iterations.
     """
     A = _real_matrix(A)
     m, n = A.shape
     y = _real_vector(y, m)
     gamma = float(lam_sigma)
-    if gamma < 0:
+    if not gamma >= 0.0:
         raise ValueError("lam_sigma must be nonnegative")
 
     Aty = A.T @ y
-    L = operator_norm(A) ** 2
-    if L == 0.0:
-        return SolverResult(np.zeros(n), 0, 0.0, 0.0, 0.5 * float(y @ y), True)
-    step = 1.0 / L
+    tube0 = float(np.max(np.abs(Aty), initial=0.0))
+    if tube0 <= gamma:
+        return SolverResult(np.zeros(n), 0, 0.0, tube0, 0.5 * float(y @ y), True)
+    step = 1.0 / operator_norm(A) ** 2
 
     def objective(v):
         r = A @ v - y
@@ -296,8 +307,11 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
     """Minimize ||x||_1 subject to ||A^T(A x - y)||_inf <= lam_sigma.
 
     Two-block ADMM on the splitting z1 = x (l1 term) and z2 = M x with
-    M = A^T A (box constraint around c = A^T y). The x-update solves a
-    fixed Cholesky system of I + M^2. The feasible set is never empty:
+    M = A^T A (box constraint around c = A^T y). The x-update applies
+    (I + M^2)^{-1} through the eigen-decomposition M = V diag(ev) V^T,
+    computed once. When lam_sigma > 0 and ||A^T y||_inf <= lam_sigma,
+    x = 0 is feasible with l1 norm 0 and is returned exactly with zero
+    iterations. The feasible set is never empty:
     the least-squares solution x_ls zeroes the constraint exactly, and a
     final blend toward x_ls enforces feasibility at the stated absolute
     tolerance. A scaled dual point kappa certifies optimality through
@@ -307,23 +321,29 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
     m, n = A.shape
     y = _real_vector(y, m)
     gamma = float(lam_sigma)
-    if gamma < 0:
+    if not gamma >= 0.0:
         raise ValueError("lam_sigma must be nonnegative")
 
-    M = A.T @ A
     c = A.T @ y
+    tube0 = float(np.max(np.abs(c), initial=0.0))
+    if gamma > 0.0 and tube0 <= gamma:
+        return SolverResult(np.zeros(n), 0, 0.0, tube0, 0.0, True)
+
     x_ls = np.linalg.lstsq(A, y, rcond=None)[0]  # A^T(A x_ls - y) = 0 exactly
 
-    if gamma == 0.0 or n == 0:
+    if gamma == 0.0:
         # the polytope collapses onto the normal equations
         obj = float(np.sum(np.abs(x_ls)))
         return SolverResult(x_ls, 0, 0.0, _tube(A, x_ls, y), obj, True)
 
+    M = A.T @ A
     lo, hi = c - gamma, c + gamma
-    chol = np.linalg.cholesky(np.eye(n) + M @ M)
+    ev, V = np.linalg.eigh(M)
+    w = 1.0 / (1.0 + ev * ev)
 
     def x_solve(rhs):
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        # (I + M^2)^{-1} rhs
+        return V @ (w * (V.T @ rhs))
 
     def polish(x):
         # blend toward x_ls until the constraint holds strictly; the

@@ -146,16 +146,8 @@ def test_operator_norm_symmetric_charpoly_oracle():
         assert np.isclose(operator_norm(M), charpoly_spectral_radius(M), rtol=1e-8)
 
 
-def test_operator_norm_power_iteration_path_matches_svd():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((80, 100))
-    ref = np.linalg.svd(A, compute_uv=False)[0]
-    assert np.isclose(operator_norm(A), ref, rtol=1e-10)
-
-
 def test_operator_norm_degenerate_top_pair():
-    # equal top singular values stall power iteration's ratio estimate;
-    # the SVD fallback must still deliver the right answer
+    # equal top singular values, where an iterative estimate would stall
     rng = np.random.default_rng(5)
     Q = np.linalg.qr(rng.standard_normal((70, 70)))[0]
     R = np.linalg.qr(rng.standard_normal((70, 70)))[0]

@@ -150,6 +150,24 @@ def test_bp_input_validation():
         basis_pursuit(np.ones((2, 3)), np.ones(5))
 
 
+def test_solvers_reject_non_finite_input():
+    A, x, y = planted(16, 2, 12, 3, sigma=0.2)
+    y_nan = y.copy()
+    y_nan[4] = np.nan
+    A_inf = A.copy()
+    A_inf[2, 7] = np.inf
+    solves = (lambda A, y: basis_pursuit(A, y), lambda A, y: lasso(A, y, 0.1),
+              lambda A, y: dantzig(A, y, 0.1))
+    for solve in solves:
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            solve(A, y_nan)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            solve(A_inf, y)
+    for noisy in (lasso, dantzig):
+        with pytest.raises(ValueError, match="nonnegative"):
+            noisy(A, y, math.nan)
+
+
 # --- LASSO -------------------------------------------------------------------
 
 def test_lasso_zero_when_penalty_dominates():
@@ -157,7 +175,9 @@ def test_lasso_zero_when_penalty_dominates():
     gamma = 1.01 * np.max(np.abs(A.T @ y))
     res = lasso(A, y, gamma)
     assert np.array_equal(res.x_hat, np.zeros(16))
-    assert res.converged
+    assert res.converged and res.iterations == 0 and res.kkt_residual == 0.0
+    assert res.tube_value == np.max(np.abs(A.T @ y))
+    assert res.objective == 0.5 * float(y @ y)
 
 
 def test_lasso_orthonormal_soft_threshold_closed_form():
@@ -234,8 +254,27 @@ def test_dantzig_zero_when_level_dominates():
     A, x, y = planted(16, 2, 12, 41, sigma=0.2)
     gamma = 1.01 * np.max(np.abs(A.T @ y))
     res = dantzig(A, y, gamma)
-    assert res.converged
-    assert np.linalg.norm(res.x_hat) <= 1e-7
+    assert res.converged and res.iterations == 0 and res.kkt_residual == 0.0
+    assert np.array_equal(res.x_hat, np.zeros(16))
+    assert res.tube_value == np.max(np.abs(A.T @ y))
+    assert res.objective == 0.0
+
+
+def test_noisy_programs_iterate_just_below_the_zero_level():
+    # just under ||A^T y||_inf the exact zero exit must not fire
+    A, x, y = planted(16, 2, 12, 41, sigma=0.2)
+    gamma = 0.99 * np.max(np.abs(A.T @ y))
+    res = lasso(A, y, gamma)
+    assert res.converged and res.iterations > 0 and np.any(res.x_hat != 0.0)
+    g = A.T @ (y - A @ res.x_hat)
+    on = res.x_hat != 0
+    assert np.all(np.abs(g[~on]) <= gamma + 1e-8)
+    assert np.all(np.abs(g[on] - gamma * np.sign(res.x_hat[on])) <= 1e-6)
+    res = dantzig(A, y, gamma)
+    _, obj_lp = dantzig_lp_oracle(A, y, gamma)
+    assert res.converged and res.iterations > 0 and obj_lp > 0.0
+    assert abs(res.objective - obj_lp) <= 1e-6 * max(1.0, obj_lp)
+    assert np.max(np.abs(A.T @ (A @ res.x_hat - y))) <= gamma + 1e-9
 
 
 def test_dantzig_orthonormal_matches_soft_threshold_and_lp():
@@ -254,8 +293,13 @@ def test_dantzig_orthonormal_matches_soft_threshold_and_lp():
 
 
 def test_dantzig_general_instance_matches_lp_oracle():
-    for seed in range(8):
-        A, x, y = planted(8, 2, 6, 300 + seed, sigma=0.3)
+    # wide A, and a tall A whose duplicated column leaves A^T A singular
+    instances = [planted(8, 2, 6, 300 + seed, sigma=0.3)[::2] for seed in range(8)]
+    rng = np.random.default_rng(308)
+    A_tall = rng.standard_normal((12, 7))
+    A_tall = np.hstack([A_tall, A_tall[:, [2]]])
+    instances.append((A_tall, A_tall[:, 2] - A_tall[:, 5] + 0.3 * rng.standard_normal(12)))
+    for A, y in instances:
         gamma = 0.5 * np.max(np.abs(A.T @ y))
         res = dantzig(A, y, gamma)
         x_lp, obj_lp = dantzig_lp_oracle(A, y, gamma)
