@@ -108,11 +108,46 @@ class GridCell:
 
     @staticmethod
     def from_doc(doc: dict) -> "GridCell":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a grid cell must be an object, got {doc!r}")
         extra = set(doc) - {"n", "s", "m", "sigma"}
         if extra:
             raise ValueError(f"unknown grid cell keys: {sorted(extra)}")
-        return GridCell(int(doc["n"]), int(doc["s"]), int(doc["m"]),
-                        float(doc.get("sigma", 0.0)))
+        return GridCell(_doc_int(doc, "n", "grid cell"), _doc_int(doc, "s", "grid cell"),
+                        _doc_int(doc, "m", "grid cell"),
+                        _doc_float(doc, "sigma", 0.0, "grid cell"))
+
+
+def _doc_int(doc: dict, key: str, where: str = "config") -> int:
+    # JSON numbers arrive as int or float; a fractional or non-numeric
+    # count is an error, never truncated
+    if key not in doc:
+        raise ValueError(f"{where} is missing required key '{key}'")
+    value = doc[key]
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{where} key '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _doc_float(doc: dict, key: str, default: float | None, where: str = "config"):
+    # null stands for "not given" only where the default is None
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} key '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
+_JSON_TYPES = {dict: "an object", list: "an array"}
+
+
+def _doc_of(doc: dict, key: str, kind: type):
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"config key '{key}' must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 _CONFIG_KEYS = {
@@ -235,23 +270,26 @@ class ExperimentConfig:
         for key in ("kind", "ensemble", "grid", "trials", "seed"):
             if key not in doc:
                 raise ValueError(f"config is missing required key '{key}'")
-        lam = doc.get("lam")
-        level = doc.get("level")
+        for key in ("kind", "program", "signal", "which", "out"):
+            if doc.get(key) is not None and not isinstance(doc[key], str):
+                raise ValueError(f"config key '{key}' must be a string, got {doc[key]!r}")
+        extra_specs = _doc_of(doc, "ensembles", list) if "ensembles" in doc else []
+        if not all(isinstance(e, dict) for e in extra_specs):
+            raise ValueError("config key 'ensembles' must list ensemble objects")
         return ExperimentConfig(
             kind=doc["kind"],
-            ensemble=EnsembleSpec.from_json(json.dumps(doc["ensemble"])),
-            grid=tuple(GridCell.from_doc(c) for c in doc["grid"]),
-            trials=int(doc["trials"]),
-            seed=int(doc["seed"]),
+            ensemble=EnsembleSpec.from_dict(_doc_of(doc, "ensemble", dict)),
+            grid=tuple(GridCell.from_doc(c) for c in _doc_of(doc, "grid", list)),
+            trials=_doc_int(doc, "trials"),
+            seed=_doc_int(doc, "seed"),
             program=doc.get("program", "bp"),
             signal=doc.get("signal", "pm1"),
-            signal_power=float(doc.get("signal_power", 2.0)),
-            lam=None if lam is None else float(lam),
-            beta=float(doc.get("beta", 1.0)),
+            signal_power=_doc_float(doc, "signal_power", 2.0),
+            lam=_doc_float(doc, "lam", None),
+            beta=_doc_float(doc, "beta", 1.0),
             which=doc.get("which"),
-            level=None if level is None else float(level),
-            ensembles=tuple(EnsembleSpec.from_json(json.dumps(e))
-                            for e in doc.get("ensembles", ())),
+            level=_doc_float(doc, "level", None),
+            ensembles=tuple(EnsembleSpec.from_dict(e) for e in extra_specs),
             out=doc.get("out"),
         )
 

@@ -1,7 +1,10 @@
 """Recovery programs: basis pursuit, LASSO, Dantzig selector.
 
 All three are first-order methods with no external solver behind them:
-basis pursuit runs ADMM with an exact projection onto the affine feasible set,
+basis pursuit factors A once by a thin SVD, returns the pseudoinverse
+solution outright when A has full column rank (it is then the only
+feasible point), and otherwise runs ADMM with an exact projection onto
+the affine feasible set, taking its dual point from the same factors;
 LASSO runs FISTA with gradient-based adaptive restart, and the Dantzig
 selector runs two-block ADMM against its box-constrained reformulation,
 with the x-update applied through the eigenpairs of A^T A. Both noisy
@@ -155,11 +158,15 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
                   max_iter: int = MAX_ITER, rho: float = 1.0) -> SolverResult:
     """Minimize ||x||_1 subject to A x = y.
 
-    ADMM with the x-update an exact projection onto {A x = y}, so every
-    iterate is feasible to working precision and the feasibility part of
-    the contract holds by construction. Convergence is certified by a
-    dual point: nu solving A^T nu = rho u in least squares, rescaled into
-    the dual ball, gives the gap ||x||_1 - y . nu.
+    A thin SVD of A, cut at rank eps * max(m, n), is the only
+    factorization: it gives pinv(A) for the in-range check and the
+    projection onto {A x = y}, and pinv(A^T) for the dual point. At full
+    column rank the feasible set is the single point pinv(A) y, returned
+    with zero iterations. Otherwise ADMM runs with the x-update that exact
+    projection, so every iterate is feasible to working precision. A dual
+    point nu = pinv(A^T) g (g = rho u, or sign(x) at full column rank,
+    where the gap is 0), rescaled into the dual ball, certifies x through
+    the gap ||x||_1 - y . nu.
 
     y must lie in the range of A; anything else raises.
     """
@@ -167,19 +174,20 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
     m, n = A.shape
     y = _real_vector(y, m)
 
-    # thin SVD once; the pseudoinverse drives both the projection and the
-    # in-range check. The default divide-and-conquer driver reports
-    # nonconvergence on some perfectly conditioned inputs (seen on
-    # realified partial-DFT stacks); QR iteration is slower but immune.
+    # The default divide-and-conquer driver reports nonconvergence on some
+    # perfectly conditioned inputs (seen on realified partial-DFT stacks);
+    # QR iteration is slower but immune.
     try:
         U, svals, Vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError:
         U, svals, Vt = linalg.svd(A, full_matrices=False, lapack_driver="gesvd")
-    keep = svals > (svals[0] if svals.size else 0.0) * max(m, n) * np.finfo(float).eps
-    U, svals, Vt = U[:, keep], svals[keep], Vt[keep]
+    # singular values come sorted, so the kept ones are a prefix
+    rank = int(np.count_nonzero(svals > (svals[0] if svals.size else 0.0)
+                                * max(m, n) * np.finfo(float).eps))
+    U, svals, Vt = U[:, :rank], svals[:rank], Vt[:rank]
 
     def pinv_apply(r):
-        return Vt.T @ ((U.T @ r) / svals) if svals.size else np.zeros(n)
+        return Vt.T @ ((U.T @ r) / svals)
 
     x_ls = pinv_apply(y)
     infeas = float(np.linalg.norm(A @ x_ls - y))
@@ -190,16 +198,22 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
         return w - pinv_apply(A @ w - y)
 
     def certify(x, g):
-        # dual candidate: nu with A^T nu = g in least squares, pulled into
-        # the unit ball; the gap against y . nu bounds the suboptimality
+        # dual candidate: nu = pinv(A^T) g, pulled into the unit ball; the
+        # gap against y . nu bounds the suboptimality
         obj = float(np.sum(np.abs(x)))
-        nu = np.linalg.lstsq(A.T, g, rcond=None)[0]
-        corr = float(np.max(np.abs(A.T @ nu))) if n else 0.0
+        nu = U @ ((Vt @ g) / svals)
+        corr = float(np.max(np.abs(A.T @ nu), initial=0.0))
         if corr > 1.0:
             nu = nu / corr
         rel_gap = abs(obj - float(y @ nu)) / max(obj, 1e-15)
         feas = float(np.linalg.norm(A @ x - y)) / (1.0 + float(np.linalg.norm(y)))
         return max(rel_gap, feas), obj
+
+    if rank == n:
+        # full column rank: x_ls is the only feasible point, and
+        # A^T pinv(A^T) sign(x_ls) = sign(x_ls) closes the gap
+        kkt, obj = certify(x_ls, np.sign(x_ls))
+        return SolverResult(x_ls, 0, kkt, _tube(A, x_ls, y), obj, kkt <= tol_rel)
 
     x = x_ls
     z = x.copy()

@@ -210,6 +210,18 @@ class TestRunReplay:
         assert (tmp_path / "a" / "results.csv").read_bytes() == \
             (tmp_path / "b" / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid", {"n": 64, "s": 3, "m": 30}),
+        ("ensemble", "gaussian"),
+        ("grid", [{"n": 64.7, "s": 3, "m": 30}]),
+    ])
+    def test_run_rejects_malformed_config(self, tmp_path, capsys, key, value):
+        cfg = self.config_file(tmp_path, **{key: value})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_replay_round_trip(self, tmp_path, capsys):
         cfg = self.config_file(tmp_path)
         out_dir = tmp_path / "out"

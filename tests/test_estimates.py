@@ -152,6 +152,21 @@ def test_clopper_pearson_closed_forms():
     assert np.isclose(lo, 0.025 ** (1.0 / 100.0), rtol=1e-10)
 
 
+def test_clopper_pearson_matches_scipy_stats_beta_ppf_bit_for_bit():
+    from scipy.stats import beta
+
+    for trials in (*range(1, 41), 100, 500, 2000):
+        for failures in range(0, trials + 1, max(1, trials // 40)):
+            for confidence in (0.9, 0.95):
+                alpha = 1.0 - confidence
+                lo, hi = clopper_pearson(failures, trials, confidence)
+                want_lo = 0.0 if failures == 0 else float(
+                    beta.ppf(alpha / 2.0, failures, trials - failures + 1))
+                want_hi = 1.0 if failures == trials else float(
+                    beta.ppf(1.0 - alpha / 2.0, failures + 1, trials - failures))
+                assert (lo, hi) == (want_lo, want_hi), (failures, trials, confidence)
+
+
 def test_clopper_pearson_symmetry_and_coverage():
     lo, hi = clopper_pearson(30, 200)
     lo2, hi2 = clopper_pearson(170, 200)

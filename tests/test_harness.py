@@ -105,6 +105,38 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_doc(missing)
 
+    def test_malformed_documents_raise_value_error_naming_the_key(self):
+        good = phase_config((GridCell(64, 2, 30),)).to_doc()
+        with pytest.raises(ValueError, match="'grid'"):
+            ExperimentConfig.from_doc({**good, "grid": {"n": 64, "s": 2, "m": 30}})
+        with pytest.raises(ValueError, match="'ensemble'"):
+            ExperimentConfig.from_doc({**good, "ensemble": "gaussian"})
+        with pytest.raises(ValueError, match="'ensembles'"):
+            ExperimentConfig.from_doc({**good, "ensembles": "subsampled_dft"})
+        with pytest.raises(ValueError, match="'ensembles'"):
+            ExperimentConfig.from_doc({**good, "ensembles": ["subsampled_dft"]})
+        with pytest.raises(ValueError, match="'trials'"):
+            ExperimentConfig.from_doc({**good, "trials": 5.5})
+        with pytest.raises(ValueError, match="'n'"):
+            GridCell.from_doc({"n": 16.7, "s": 2, "m": 4})
+        with pytest.raises(ValueError, match="'m'"):
+            GridCell.from_doc({"n": 16, "s": 2, "m": "4"})
+        with pytest.raises(ValueError, match="'s'"):
+            GridCell.from_doc({"n": 16, "m": 4})
+        with pytest.raises(ValueError, match="grid cell"):
+            GridCell.from_doc([16, 2, 4])
+        with pytest.raises(ValueError, match="'sigma'"):
+            GridCell.from_doc({"n": 16, "s": 2, "m": 4, "sigma": None})
+        with pytest.raises(ValueError, match="'beta'"):
+            ExperimentConfig.from_doc({**good, "beta": [1.0]})
+        with pytest.raises(ValueError, match="'lam'"):
+            ExperimentConfig.from_doc({**good, "lam": "2"})
+        with pytest.raises(ValueError, match="'which'"):
+            ExperimentConfig.from_doc({**good, "kind": "estimate_sweep", "which": 1,
+                                       "level": 0.5})
+        # integral floats are integers
+        assert GridCell.from_doc({"n": 16.0, "s": 2, "m": 4}) == GridCell(16, 2, 4)
+
     def test_hash_semantics(self):
         grid = (GridCell(64, 2, 30),)
         base = phase_config(grid, seed=3)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 
 from ripless.core import MeasurementMatrix, MeasurementVector
@@ -78,10 +79,32 @@ def test_bp_square_invertible_returns_unique_point():
     assert np.linalg.norm(res.x_hat - x) <= 1e-8 * np.linalg.norm(x)
 
 
+def test_bp_full_column_rank_returns_least_squares_point():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((40, 16))
+    x = rng.standard_normal(16)
+    y = A @ x
+    res = basis_pursuit(A, y)
+    x_ls = np.linalg.lstsq(A, y, rcond=None)[0]
+    assert res.iterations == 0 and res.converged
+    assert np.allclose(res.x_hat, x_ls, rtol=0.0, atol=1e-12)
+    # an independent dual point for sign(x_hat) closes the gap
+    nu = np.linalg.lstsq(A.T, np.sign(res.x_hat), rcond=None)[0]
+    assert np.max(np.abs(A.T @ nu)) <= 1.0 + 1e-12
+    assert abs(res.objective - y @ nu) <= 1e-12 * res.objective
+    assert res.kkt_residual <= 1e-12
+
+
 def test_bp_matches_lp_oracle():
-    for seed in range(10):
-        A, x, y = planted(12, 2, 8, 100 + seed)
+    # wide A, and a tall A whose duplicated column leaves it rank deficient
+    instances = [planted(12, 2, 8, 100 + seed)[::2] for seed in range(10)]
+    rng = np.random.default_rng(110)
+    A_tall = rng.standard_normal((12, 7))
+    A_tall = np.hstack([A_tall, A_tall[:, [2]]])
+    instances.append((A_tall, A_tall[:, 2] - A_tall[:, 5]))
+    for A, y in instances:
         res = basis_pursuit(A, y)
+        assert res.iterations > 0  # neither system has full column rank
         x_lp, obj_lp = l1_lp_oracle(A, y)
         assert res.converged
         assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
@@ -500,6 +523,32 @@ def test_basis_pursuit_falls_back_when_gesdd_balks(monkeypatch):
     assert raised["count"] == 1
     assert res.converged
     assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
+
+
+def test_basis_pursuit_factors_once(monkeypatch):
+    # one SVD per call, for the full-rank exit and for the ADMM alike; the
+    # dual point comes from its factors, never from a second least squares
+    rng = np.random.default_rng(79)
+    A_tall = rng.standard_normal((40, 16))
+    systems = [planted(32, 3, 20, 78)[::2], (A_tall, A_tall @ rng.standard_normal(16))]
+    real_svd = np.linalg.svd
+    calls = {"svd": 0}
+
+    def counting_svd(a, *args, **kwargs):
+        calls["svd"] += 1
+        return real_svd(a, *args, **kwargs)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("basis_pursuit called lstsq")
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(scipy.linalg, "lstsq", no_lstsq)
+    for A, y in systems:
+        calls["svd"] = 0
+        res = basis_pursuit(A, y)
+        assert res.converged
+        assert calls["svd"] == 1
 
 
 def test_basis_pursuit_on_gesdd_hard_realified_stack():
