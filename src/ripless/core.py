@@ -114,7 +114,7 @@ class MeasurementMatrix:
         arr = np.asarray(self.rows)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be 2-d, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float) if np.iscomplexobj(arr) else arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite")
         arr = arr.astype(complex if np.iscomplexobj(arr) else float)
         arr.setflags(write=False)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .core import MeasurementMatrix
 
@@ -128,6 +127,9 @@ class EnsembleSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "EnsembleSpec":
+        for key in ("family", "n"):
+            if key not in d:
+                raise ValueError(f"ensemble is missing required key '{key}'")
         params = dict(d.get("params") or {})
         if "u_re" in params:
             params = {"u": np.array(params["u_re"]) + 1j * np.array(params["u_im"])}
@@ -284,6 +286,8 @@ def gaussian_row_tail(n: int):
     integration of the density underflows (t up to about 700).
     """
 
+    from scipy import special  # imported here: import ripless need not load it
+
     def f(t):
         return float(min(1.0, n * special.erfc(math.sqrt(max(t, 0.0) / 2.0))))
 
@@ -305,6 +309,8 @@ def stochastic_coherence(spec: EnsembleSpec, m: int, tail, lo: float = 1.0, hi: 
 
     Raises ValueError when no mu <= hi satisfies both conditions.
     """
+    from scipy import integrate  # imported here: import ripless need not load it
+
     n = spec.n
     budget = 0.05 / math.sqrt(n)
 

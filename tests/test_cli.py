@@ -222,6 +222,15 @@ class TestRunReplay:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("missing", ["family", "n"])
+    def test_run_names_a_missing_ensemble_key(self, tmp_path, capsys, missing):
+        ensemble = {"family": "gaussian", "n": 64}
+        del ensemble[missing]
+        cfg = self.config_file(tmp_path, ensemble=ensemble)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ensemble is missing required key '{missing}'\n"
+
     def test_replay_round_trip(self, tmp_path, capsys):
         cfg = self.config_file(tmp_path)
         out_dir = tmp_path / "out"

@@ -246,6 +246,19 @@ def test_measurement_matrix_frozen_and_validated():
         M.rows[0, 0] = 5.0
 
 
+def test_measurement_matrix_accepts_non_contiguous_complex_layouts():
+    # a transpose or a strided slice of a complex array is a valid matrix
+    rng = np.random.default_rng(32)
+    raw = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    for view in (raw.T, raw[:, ::2]):
+        M = MeasurementMatrix(view)
+        assert M.field == "complex" and np.array_equal(M.rows, view)
+    bad = raw.T.copy()
+    bad[1, 2] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        MeasurementMatrix(bad.T)
+
+
 def test_measurement_matrix_raw_rows_roundtrip():
     rng = np.random.default_rng(31)
     raw = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))

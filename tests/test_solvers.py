@@ -10,6 +10,8 @@ from scipy.optimize import linprog
 from ripless.core import MeasurementMatrix, MeasurementVector
 from ripless.ensembles import build_matrix, gaussian
 from ripless.solvers import (
+    MAX_ITER,
+    REL_TOL,
     ErrorBoundInputs,
     RecoveryProblem,
     alpha_factor,
@@ -501,6 +503,58 @@ def test_tube_fails_under_large_perturbation():
     rng = np.random.default_rng(4)
     value, ok = tube_diagnostic(A, x + 50.0 * rng.standard_normal(16), x, 0.01)
     assert value > 0.0125 and not ok
+
+
+def test_bp_certifies_the_support_where_the_admm_stalls():
+    # below the Gaussian transition the l1 minimiser has a full support of
+    # m entries and is not the planted signal; the ADMM alone stalled at the
+    # iteration cap here, 1.4e-4 above the LP optimum
+    from ripless.core import realify
+    from ripless.ensembles import EnsembleSpec
+    from ripless.harness import plant_signal, trial_rng
+
+    rng = trial_rng(22, 0, 0)
+    x = plant_signal(256, 5, "pm1", 2.0, rng)
+    A = realify(build_matrix(EnsembleSpec("gaussian", 256), 32, rng=rng)).rows
+    y = A @ x
+    res = basis_pursuit(A, y)
+    _, obj_lp = l1_lp_oracle(A, y)
+    assert res.converged and res.kkt_residual <= REL_TOL
+    assert res.iterations < MAX_ITER // 50
+    assert abs(res.objective - obj_lp) <= 1e-6 * obj_lp
+    assert np.count_nonzero(res.x_hat) <= 32
+    assert np.linalg.norm(A @ res.x_hat - y) <= 1e-9 * (1.0 + np.linalg.norm(y))
+
+
+def test_bp_polish_handles_repeated_columns_in_the_support():
+    # the last 10 columns repeat the first 10, so the optimum is not unique
+    # and the support of the iterate holds repeated columns; the polish
+    # solves on an independent part of it at its first checkpoint
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((16, 40))
+    A = np.hstack([A, A[:, :10]])
+    x = np.zeros(50)
+    x[rng.choice(50, 6, replace=False)] = rng.choice([-1.0, 1.0], 6)
+    y = A @ x
+    res = basis_pursuit(A, y)
+    _, obj_lp = l1_lp_oracle(A, y)
+    assert res.converged and res.iterations == 100
+    assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
+
+
+def test_bp_phase_transition_below_threshold_converges():
+    # the README's n=64 transition: every trial ends certified, and the
+    # success rates are those of the l1 geometry alone
+    from ripless import EnsembleSpec, ExperimentConfig, GridCell, run_experiment
+
+    cfg = ExperimentConfig(kind="phase_transition", ensemble=EnsembleSpec("gaussian", 64),
+                           grid=tuple(GridCell(64, 3, m) for m in (6, 10, 16, 28, 48)),
+                           trials=40, seed=11)
+    rows = [line.split(",") for line in run_experiment(cfg).csv_text().splitlines()]
+    header = rows[0]
+    cells = [dict(zip(header, row)) for row in rows[1:]]
+    assert [c["success_rate"] for c in cells] == ["0.0", "0.175", "0.925", "1.0", "1.0"]
+    assert [c["nonconverged"] for c in cells] == ["0"] * 5
 
 
 # --- SVD driver robustness ----------------------------------------------------------
