@@ -9,6 +9,7 @@ in closed form or gets it from the stochastic-coherence solver.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -103,6 +104,16 @@ class EnsembleSpec:
         elif params:
             raise ValueError(f"family {self.family!r} takes no params")
         object.__setattr__(self, "params", params)
+
+    # equal when they serialize alike: the generated field-wise versions
+    # compare the params arrays elementwise and cannot hash a dict
+    def __eq__(self, other):
+        if not isinstance(other, EnsembleSpec):
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __hash__(self):
+        return hash(self.to_json())
 
     @property
     def is_complex(self) -> bool:
@@ -204,13 +215,28 @@ def _as_generator(rng, fallback_seed=None):
     return np.random.default_rng(rng)
 
 
+# Largest n whose DFT table is cached: 16 MiB of complex128 at n = 1024.
+_DFT_TABLE_MAX_N = 1024
+
+
+@functools.lru_cache(maxsize=4)
+def _dft_table(n: int) -> np.ndarray:
+    """The read-only n x n table exp(2 pi i f t / n), f, t = 0..n-1."""
+    W = np.exp((2j * np.pi / n) * np.outer(np.arange(n), np.arange(n)))
+    W.setflags(write=False)
+    return W
+
+
 def sample_rows(spec: EnsembleSpec, m: int, rng, cols=None) -> np.ndarray:
     """Draw m raw sensing vectors as the rows of an (m, k) array.
 
     `cols` restricts output to those column indices. For families with
     independent entries this draws fewer variates, so restricted and full
     draws from the same generator state differ; use one or the other
-    consistently within an experiment.
+    consistently within an experiment. Subsampled-DFT rows are gathered
+    from a cached table of the n-th roots of unity for n up to 1024, each
+    entry computed by the same expression as the direct formula used above
+    that size, so the rows are bit-identical either way.
     """
     rng = _as_generator(rng, spec.seed)
     n = spec.n
@@ -226,7 +252,9 @@ def sample_rows(spec: EnsembleSpec, m: int, rng, cols=None) -> np.ndarray:
         return spec.params["u"][np.ix_(picks, cols)]
     if fam == "subsampled_dft":
         freqs = rng.integers(0, n, size=m)
-        return np.exp((2j * np.pi / n) * np.outer(freqs, cols))
+        if n > _DFT_TABLE_MAX_N:
+            return np.exp((2j * np.pi / n) * np.outer(freqs, cols))
+        return _dft_table(n)[np.ix_(freqs, cols)]
     if fam == "random_convolution":
         shifts = rng.integers(0, n, size=m)
         g = spec.params["g"]

@@ -1,7 +1,9 @@
 """Recovery programs: basis pursuit, LASSO, Dantzig selector.
 
 All three are first-order methods with no external solver behind them:
-basis pursuit factors A once by a thin SVD, returns the pseudoinverse
+basis pursuit factors A once, a tall A through the eigenpairs of the
+n x n Gram matrix A^T A and a wide one (or a tall one whose rank the Gram
+matrix cannot settle) by a thin SVD. It returns the pseudoinverse
 solution outright when A has full column rank (it is then the only
 feasible point), and otherwise runs ADMM with an exact projection onto
 the affine feasible set, taking its dual point from the same factors.
@@ -158,13 +160,46 @@ def _tube(A, x, y):
     return float(np.max(np.abs(A.T @ (A @ x - y)))) if A.shape[1] else 0.0
 
 
+def _rank_cut(A) -> float:
+    """Relative level at or below which a singular value of A counts as zero."""
+    return max(A.shape) * np.finfo(float).eps
+
+
+def _gram_factors(A):
+    """Eigenpairs (lam, V) of A^T A on the range of A^T, or None.
+
+    Directions with lam >= 1e-6 lam_max are kept. The factors are accepted
+    only when every dropped eigenvector v also meets the SVD's own cut on A,
+    ||A v|| <= sigma_max * _rank_cut(A), so the rank is the one the SVD
+    would decide; a failed eigh, a zero matrix or an eigenvalue between the
+    two levels gives None.
+    """
+    try:
+        lam, V = np.linalg.eigh(A.T @ A)
+    except np.linalg.LinAlgError:
+        return None
+    if not lam[-1] > 0.0:
+        return None
+    # eigenvalues come in ascending order, so the dropped ones are a prefix
+    k = int(np.count_nonzero(lam < 1e-6 * lam[-1]))
+    if k and np.max(np.linalg.norm(A @ V[:, :k], axis=0)) > math.sqrt(lam[-1]) * _rank_cut(A):
+        return None
+    return lam[k:], V[:, k:]
+
+
 def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
                   max_iter: int = MAX_ITER, rho: float = 1.0) -> SolverResult:
     """Minimize ||x||_1 subject to A x = y.
 
-    A thin SVD of A, cut at rank eps * max(m, n), is the only
-    factorization of A: it gives pinv(A) for the in-range check and the
-    projection onto {A x = y}, and pinv(A^T) for the dual point. At full
+    One factorization of A, cut at rank eps * max(m, n) relative to its
+    largest singular value, gives pinv(A) for the in-range check and the
+    projection onto {A x = y}, and pinv(A^T) for the dual point. A tall A
+    (m >= n) is factored through A^T A = V diag(lam) V^T, so that
+    pinv(A) r = V (V^T A^T r) / lam and pinv(A^T) g = A V (V^T g) / lam;
+    the eigenpairs are used only when every direction below 1e-6 lam_max
+    is also below that rank cut measured on A itself, so the rank is the
+    SVD's. A wide A, a failed eigh, or an eigenvalue between the two
+    levels takes a thin SVD of A instead. At full
     column rank the feasible set is the single point pinv(A) y, returned
     with zero iterations. Otherwise ADMM runs with the x-update that exact
     projection, so every iterate is feasible to working precision. A dual
@@ -187,20 +222,35 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
     m, n = A.shape
     y = _real_vector(y, m)
 
-    # The default divide-and-conquer driver reports nonconvergence on some
-    # perfectly conditioned inputs (seen on realified partial-DFT stacks);
-    # QR iteration is slower but immune.
-    try:
-        U, svals, Vt = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError:
-        U, svals, Vt = linalg.svd(A, full_matrices=False, lapack_driver="gesvd")
-    # singular values come sorted, so the kept ones are a prefix
-    rank = int(np.count_nonzero(svals > (svals[0] if svals.size else 0.0)
-                                * max(m, n) * np.finfo(float).eps))
-    U, svals, Vt = U[:, :rank], svals[:rank], Vt[:rank]
+    # pinv_apply(r) = pinv(A) r, and dual(g) = pinv(A^T) g, the min-norm
+    # solution of A^T nu = g at the rank cut
+    gram = _gram_factors(A) if m >= n > 0 else None
+    if gram is not None:
+        lam, V = gram
+        rank = lam.size
 
-    def pinv_apply(r):
-        return Vt.T @ ((U.T @ r) / svals)
+        def pinv_apply(r):
+            return V @ ((V.T @ (A.T @ r)) / lam)
+
+        def dual(g):
+            return A @ (V @ ((V.T @ g) / lam))
+    else:
+        # The default divide-and-conquer driver reports nonconvergence on
+        # some perfectly conditioned inputs (seen on realified partial-DFT
+        # stacks); QR iteration is slower but immune.
+        try:
+            U, svals, Vt = np.linalg.svd(A, full_matrices=False)
+        except np.linalg.LinAlgError:
+            U, svals, Vt = linalg.svd(A, full_matrices=False, lapack_driver="gesvd")
+        # singular values come sorted, so the kept ones are a prefix
+        rank = int(np.count_nonzero(svals > (svals[0] if svals.size else 0.0) * _rank_cut(A)))
+        U, svals, Vt = U[:, :rank], svals[:rank], Vt[:rank]
+
+        def pinv_apply(r):
+            return Vt.T @ ((U.T @ r) / svals)
+
+        def dual(g):
+            return U @ ((Vt @ g) / svals)
 
     x_ls = pinv_apply(y)
     infeas = float(np.linalg.norm(A @ x_ls - y))
@@ -209,10 +259,6 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
 
     def project(w):
         return w - pinv_apply(A @ w - y)
-
-    def dual(g):
-        # the min-norm solution of A^T nu = g at the rank cut: pinv(A^T) g
-        return U @ ((Vt @ g) / svals)
 
     def certify(x, nu):
         # nu pulled into the unit ball; the gap against y . nu bounds the
@@ -236,7 +282,7 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
             return None
         Q, R, P = linalg.qr(A[:, S], mode="economic", pivoting=True)
         d = np.abs(np.diag(R))
-        k = int(np.count_nonzero(d > d[0] * max(m, n) * np.finfo(float).eps))
+        k = int(np.count_nonzero(d > d[0] * _rank_cut(A)))
         S, Q, R = S[P[:k]], Q[:, :k], R[:k, :k]
         x_S = linalg.solve_triangular(R, Q.T @ y)
         x_p = np.zeros(n)

@@ -8,6 +8,7 @@ from scipy import integrate, optimize
 from scipy.linalg import hadamard
 
 from ripless.ensembles import (
+    _DFT_TABLE_MAX_N,
     FAMILIES,
     EnsembleSpec,
     binary,
@@ -83,6 +84,19 @@ def test_spec_json_round_trip_complex_orthogonal():
     assert np.allclose(back.params["u"], dft, atol=1e-15)
 
 
+def test_spec_equality_and_hash_for_every_family():
+    # array-valued params compare by value, and every spec is hashable
+    first, again, other = all_specs(8, seed=3), all_specs(8, seed=3), all_specs(8, seed=4)
+    for fam in first:
+        assert first[fam] == again[fam] and hash(first[fam]) == hash(again[fam])
+        assert first[fam] != other[fam]
+        assert first[fam] == EnsembleSpec.from_json(first[fam].to_json())
+    assert len(set(first.values()) | set(again.values())) == len(FAMILIES)
+    g = first["random_convolution"].params["g"]
+    assert random_convolution(g) != random_convolution(-g)
+    assert gaussian(8) != "gaussian"
+
+
 def test_is_complex_flags():
     specs = all_specs(8)
     expected = {"subsampled_dft", "continuous_fourier"}
@@ -117,6 +131,20 @@ def test_dft_rows_are_harmonics():
     assert np.allclose(freqs, np.round(freqs), atol=1e-9)
     for r, k in zip(rows, np.round(freqs).astype(int) % n):
         assert np.allclose(r, np.exp(2j * np.pi * k * np.arange(n) / n), atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 256, 1031])
+def test_dft_rows_equal_the_direct_formula_bit_for_bit(n):
+    # the cached table of roots of unity (and, above its size cap, the
+    # formula itself) must reproduce the direct exp bit for bit
+    assert 1031 > _DFT_TABLE_MAX_N  # the last case runs the formula
+    cols = np.array([0, n - 1, n // 2, 0, n // 3])
+    for restrict in (None, cols):
+        rows = sample_rows(subsampled_dft(n), 50, np.random.default_rng(n), cols=restrict)
+        freqs = np.random.default_rng(n).integers(0, n, size=50)
+        direct = np.exp((2j * np.pi / n) * np.outer(freqs, np.arange(n) if restrict is None else cols))
+        assert np.array_equal(rows, direct)
+        rows[0, 0] = 0.0  # the caller owns a copy, not the table
 
 
 def test_convolution_rows_are_shifts_with_full_energy():

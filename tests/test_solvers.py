@@ -579,30 +579,74 @@ def test_basis_pursuit_falls_back_when_gesdd_balks(monkeypatch):
     assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
 
 
-def test_basis_pursuit_factors_once(monkeypatch):
-    # one SVD per call, for the full-rank exit and for the ADMM alike; the
-    # dual point comes from its factors, never from a second least squares
-    rng = np.random.default_rng(79)
-    A_tall = rng.standard_normal((40, 16))
-    systems = [planted(32, 3, 20, 78)[::2], (A_tall, A_tall @ rng.standard_normal(16))]
-    real_svd = np.linalg.svd
-    calls = {"svd": 0}
+def count_factorizations(monkeypatch):
+    # counts np.linalg.svd and np.linalg.eigh calls; lstsq is forbidden
+    calls = {"svd": 0, "eigh": 0}
 
-    def counting_svd(a, *args, **kwargs):
-        calls["svd"] += 1
-        return real_svd(a, *args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
     def no_lstsq(*args, **kwargs):
         raise AssertionError("basis_pursuit called lstsq")
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     monkeypatch.setattr(scipy.linalg, "lstsq", no_lstsq)
-    for A, y in systems:
-        calls["svd"] = 0
+    return calls
+
+
+def test_basis_pursuit_factors_once(monkeypatch):
+    # one factorization per call, for the full-rank exit and for the ADMM
+    # alike: the SVD of a wide A, the eigh of A^T A for a tall one; the
+    # dual point comes from its factors, never from a second least squares
+    rng = np.random.default_rng(79)
+    A_tall = rng.standard_normal((40, 16))
+    systems = [planted(32, 3, 20, 78)[::2], (A_tall, A_tall @ rng.standard_normal(16))]
+    calls = count_factorizations(monkeypatch)
+    for (A, y), expected in zip(systems, ({"svd": 1, "eigh": 0}, {"svd": 0, "eigh": 1})):
+        calls.update(svd=0, eigh=0)
         res = basis_pursuit(A, y)
         assert res.converged
-        assert calls["svd"] == 1
+        assert calls == expected
+
+
+def test_bp_tall_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
+    # a duplicated column leaves a tall 40 x 16 system at rank 15: the Gram
+    # eigendecomposition decides that rank, with no SVD, and the ADMM on its
+    # factors reaches the LP optimum
+    rng = np.random.default_rng(81)
+    A = rng.standard_normal((40, 15))
+    A = np.hstack([A, A[:, [4]]])
+    y = A[:, 4] - 2.0 * A[:, 9]
+    calls = count_factorizations(monkeypatch)
+    res = basis_pursuit(A, y)
+    assert calls == {"svd": 0, "eigh": 1}
+    assert res.iterations > 0 and res.converged
+    _, obj_lp = l1_lp_oracle(A, y)
+    assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
+    assert res.objective >= obj_lp - 1e-7 * max(1.0, obj_lp)
+
+
+def test_bp_tall_ill_conditioned_falls_back_to_the_svd(monkeypatch):
+    # sigma_min = 1e-9 sigma_max lies between the Gram level (1e-3 sigma_max)
+    # and the SVD's rank cut, so the Gram factors are refused and the SVD
+    # decides full column rank: the least-squares point, with no iterations
+    rng = np.random.default_rng(83)
+    Q1, _ = np.linalg.qr(rng.standard_normal((40, 16)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+    A = (Q1 * np.logspace(0, -9, 16)) @ Q2.T
+    x = rng.standard_normal(16)
+    y = A @ x
+    calls = count_factorizations(monkeypatch)
+    res = basis_pursuit(A, y)
+    assert calls == {"svd": 1, "eigh": 1}
+    assert res.iterations == 0 and res.converged
+    x_ls = np.linalg.pinv(A, rcond=1e-14) @ y
+    assert np.linalg.norm(res.x_hat - x_ls) <= 1e-5 * np.linalg.norm(x_ls)
 
 
 def test_basis_pursuit_on_gesdd_hard_realified_stack():
