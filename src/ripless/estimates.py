@@ -224,42 +224,58 @@ class EmpiricalReport:
         return EmpiricalReport(trials, failures, failures / trials, bound, hi, lo)
 
 
-def _event_occurs(which, spec, m, support, v, level, rng) -> bool:
-    # one fresh matrix draw, dense exact statistic
-    n = spec.n
-    if which == "E1":
+def _conj(x):
+    """conj(x) for complex x; real x is returned as it is, not copied."""
+    return np.conj(x) if np.iscomplexobj(x) else x
+
+
+def _event_statistic(which, spec, m, support, v, rng) -> float:
+    """The statistic of one E1-E4 event, from one fresh draw of raw rows.
+
+    E1 and E4 happen when it reaches the level; E2 and E3 when it reaches
+    level * ||v||.
+    """
+    # A = conj(raw)/sqrt(m) is never formed. With v real, A* A v =
+    # raw^T conj(raw v)/m and A_T* A = conj(raw_T* raw)/m, so each statistic
+    # is a small product of raw with itself, divided by m afterwards, with
+    # conj taken on the small factor for complex families only. Off-support
+    # columns are masked on the s x n or length-n result, never cut from the
+    # m x n draw.
+    if which in ("E1", "E2"):
         idx = support.to_array()
-        raw = sample_rows(spec, m, rng, cols=idx)  # only A_T is needed
-        At = np.conj(raw) / math.sqrt(m)
-        G = At.conj().T @ At
-        dev = float(np.max(np.abs(np.linalg.eigvalsh(G - np.eye(idx.size)))))
-        return dev >= level
-    if which == "E2":
-        idx = support.to_array()
-        raw = sample_rows(spec, m, rng, cols=idx)  # statistic lives on T
-        At = np.conj(raw) / math.sqrt(m)
+        raw = sample_rows(spec, m, rng, cols=idx)  # the statistic lives on T
+        if which == "E1":
+            G = (raw.T @ _conj(raw)) / m
+            return float(np.max(np.abs(np.linalg.eigvalsh(G - np.eye(idx.size)))))
         vt = v[idx]
-        w = At.conj().T @ (At @ vt) - vt
-        return float(np.linalg.norm(w)) >= level * float(np.linalg.norm(v))
+        return float(np.linalg.norm((raw.T @ _conj(raw @ vt)) / m - vt))
     raw = sample_rows(spec, m, rng)
-    A = np.conj(raw) / math.sqrt(m)
+    off = np.ones(spec.n, dtype=bool)
+    off[support.to_array()] = False
+    if not off.any():
+        return 0.0
     if which == "E3":
-        u = A.conj().T @ (A @ v)
-        off = np.abs(u[support.complement()])
-        stat = float(off.max()) if off.size else 0.0
-        return stat >= level * float(np.linalg.norm(v))
+        return float(np.max(np.abs(raw.T @ _conj(raw @ v))[off])) / m
     if which == "E4":
-        At = A[:, support.to_array()]
-        cross = At.conj().T @ A[:, support.complement()]
-        stat = float(np.sqrt(np.max(np.sum(np.abs(cross) ** 2, axis=0)))) if cross.shape[1] else 0.0
-        return stat >= level
+        cross = (_conj(raw[:, support.to_array()]).T @ raw) / m
+        return float(np.sqrt(np.max(np.sum(np.abs(cross) ** 2, axis=0)[off])))
     raise AssertionError(which)
+
+
+def _event_occurs(which, spec, m, support, v, level, rng) -> bool:
+    stat = _event_statistic(which, spec, m, support, v, rng)
+    return stat >= (level * float(np.linalg.norm(v)) if which in ("E2", "E3") else level)
 
 
 def empirical_estimate(which: str, spec: EnsembleSpec, m: int, target, level: float,
                        trials: int, rng=None, mu: float | None = None,
                        threads: int = 1) -> EmpiricalReport:
     """Replay one estimate's random event and compare against its bound.
+
+    Each trial draws fresh raw rows and evaluates the event's exact
+    statistic straight from that draw: small products of the rows with
+    themselves, scaled by 1/m afterwards, with no normalized copy of the
+    m x n matrix.
 
     Parameters
     ----------
@@ -363,6 +379,8 @@ def weak_rip_empirical(A, T, r: int, delta: float, mode: str = "exhaustive",
         raise ValueError("support dimension does not match the matrix")
     if r < 0 or T.size + r > n:
         raise ValueError("need 0 <= r <= n - |T|")
+    if T.size + r == 0:
+        raise ValueError("need |T| + r >= 1")
     free = T.complement()
     total = math.comb(free.size, r)
 
@@ -375,31 +393,52 @@ def weak_rip_empirical(A, T, r: int, delta: float, mode: str = "exhaustive",
         checked = total
     elif mode == "sampled":
         gen = np.random.default_rng(rng)
-        candidates = (tuple(sorted(gen.choice(free, size=r, replace=False).tolist()))
+        candidates = (tuple(gen.choice(free, size=r, replace=False).tolist())
                       for _ in range(budget))
         checked = budget
     else:
         raise ValueError("mode must be 'exhaustive' or 'sampled'")
 
-    base = list(T.indices)
+    on_T = np.zeros(n, dtype=bool)
+    on_T[T.to_array()] = True
+    sets = (sorted(T.indices + R) for R in candidates)
     best_dev, best_R = -1.0, ()
-    for R in candidates:
-        idx = np.array(sorted(base + list(R)), dtype=int)
-        sub = A[:, idx]
-        G = sub.conj().T @ sub
-        dev = float(np.max(np.abs(np.linalg.eigvalsh(G - np.eye(idx.size)))))
-        if dev > best_dev:
-            best_dev, best_R = dev, tuple(R)
+    for chunk, dev in _gram_block_deviations(A.conj().T @ A, sets, T.size + r):
+        j = int(np.argmax(dev))  # the first maximum, as the witness
+        if dev[j] > best_dev:
+            best_dev = float(dev[j])
+            best_R = tuple(int(i) for i in chunk[j] if not on_T[i])
     return WeakRipResult(best_dev, best_R, float(delta), mode, checked)
 
 
 EXACT_RIP_LIMIT = 1_000_000
 
+# Entries held at once by the batched oracles: the stacked Gram blocks of
+# one chunk of column subsets, or one block of noise draws.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _gram_block_deviations(G, sets, size: int):
+    """Yield (chunk, dev) over bounded chunks of the index sets in `sets`.
+
+    Every set has `size` indices into the Gram matrix G; chunk is a (k, size)
+    array of k consecutive sets and dev[i] = ||G[S_i, S_i] - I||, from one
+    batched eigvalsh over the stacked blocks.
+    """
+    per = max(1, _CHUNK_ENTRIES // (size * size))
+    sets = iter(sets)
+    while rows := list(itertools.islice(sets, per)):
+        chunk = np.array(rows, dtype=np.intp)
+        lam = np.linalg.eigvalsh(G[chunk[:, :, None], chunk[:, None, :]])
+        yield chunk, np.maximum(lam[:, -1] - 1.0, 1.0 - lam[:, 0])
+
 
 def rip_constant_exact(A, s: int) -> float:
     """delta_s by exhaustive scan of every size-s column subset.
 
-    Only for tiny instances: refuses when (n choose s) exceeds 10^6.
+    Forms the Gram matrix G = A* A once and takes the eigenvalues of the
+    s x s blocks G[S, S] in bounded chunks of subsets. Only for tiny
+    instances: refuses when (n choose s) exceeds 10^6.
     """
     A = np.asarray(A.rows if hasattr(A, "rows") else A)
     n = A.shape[1]
@@ -409,10 +448,8 @@ def rip_constant_exact(A, s: int) -> float:
     if total > EXACT_RIP_LIMIT:
         raise ValueError(f"{total} subsets exceed the exact-scan limit {EXACT_RIP_LIMIT}")
     worst = 0.0
-    for S in itertools.combinations(range(n), s):
-        sub = A[:, list(S)]
-        lam = np.linalg.eigvalsh(sub.conj().T @ sub)
-        worst = max(worst, float(lam[-1] - 1.0), float(1.0 - lam[0]))
+    for _, dev in _gram_block_deviations(A.conj().T @ A, itertools.combinations(range(n), s), s):
+        worst = max(worst, float(dev.max()))
     return worst
 
 
@@ -431,14 +468,20 @@ class NoiseCorrelationCheck:
     threshold: float
 
     def exceedance(self, trials: int, rng=None) -> EmpiricalReport:
+        """Count draws with ||B* z||_inf > threshold over `trials` noise draws.
+
+        The draws come as (rows, m) blocks Z, the same stream as one draw of
+        m per trial, and row k of Z conj(B) is (B* z_k)^T.
+        """
         gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         m = self.matrix.shape[0]
+        B = _conj(self.matrix)
+        rows = max(1, _CHUNK_ENTRIES // max(1, m))
         failures = 0
-        for _ in range(trials):
-            z = self.sigma * gen.standard_normal(m)
-            stat = float(np.max(np.abs(self.matrix.conj().T @ z))) if self.matrix.size else 0.0
-            if stat > self.threshold:
-                failures += 1
+        for start in range(0, trials, rows):
+            Z = self.sigma * gen.standard_normal((min(rows, trials - start), m))
+            stats = np.max(np.abs(Z @ B), axis=1, initial=0.0)
+            failures += int(np.count_nonzero(stats > self.threshold))
         return EmpiricalReport.from_counts(failures, trials, 1.0 / (2.0 * self.n))
 
 

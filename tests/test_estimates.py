@@ -2,13 +2,25 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ripless.core import SupportSet
-from ripless.ensembles import binary, coordinate_sampling, gaussian, subsampled_dft
+from ripless.ensembles import (
+    binary,
+    continuous_fourier,
+    coordinate_sampling,
+    gaussian,
+    random_convolution,
+    random_convolution_pulse,
+    sample_rows,
+    subsampled_dft,
+)
 from ripless.estimates import (
+    _CHUNK_ENTRIES,
+    _event_statistic,
     EmpiricalReport,
     NoiseCorrelationCheck,
     OutOfStatedRangeWarning,
@@ -318,6 +330,76 @@ def test_empirical_estimate_validation():
         empirical_estimate("E1", gaussian(8), 4, T, 0.5, trials=5)  # mu mandatory
 
 
+# --- event statistics from the raw draw ----------------------------------------------
+
+def dense_statistic(which, spec, m, support, v, rng):
+    """The dense statistic: normalize the whole draw to A = conj(raw)/sqrt(m),
+    then cut columns from it. The event statistic must equal this."""
+    if which in ("E1", "E2"):
+        idx = support.to_array()
+        At = np.conj(sample_rows(spec, m, rng, cols=idx)) / math.sqrt(m)
+        if which == "E1":
+            G = At.conj().T @ At
+            return float(np.max(np.abs(np.linalg.eigvalsh(G - np.eye(idx.size)))))
+        vt = v[idx]
+        return float(np.linalg.norm(At.conj().T @ (At @ vt) - vt))
+    A = np.conj(sample_rows(spec, m, rng)) / math.sqrt(m)
+    if which == "E3":
+        off = np.abs((A.conj().T @ (A @ v))[support.complement()])
+        return float(off.max()) if off.size else 0.0
+    cross = A[:, support.to_array()].conj().T @ A[:, support.complement()]
+    return float(np.sqrt(np.max(np.sum(np.abs(cross) ** 2, axis=0)))) if cross.shape[1] else 0.0
+
+
+EVENT_SPECS = {
+    "gaussian": gaussian(32),
+    "binary": binary(32),
+    "random_convolution": random_convolution(random_convolution_pulse(32, np.random.default_rng(0))),
+    "subsampled_dft": subsampled_dft(32),
+    "continuous_fourier": continuous_fourier(32),
+}
+
+
+@pytest.mark.parametrize("family", sorted(EVENT_SPECS))
+@pytest.mark.parametrize("which", ["E1", "E2", "E3", "E4"])
+def test_event_statistic_matches_dense_statistic(which, family):
+    spec = EVENT_SPECS[family]
+    for seed in range(5):
+        v = unit_target(32, 3, seed)
+        support = SupportSet.from_signal(v)
+        got = _event_statistic(which, spec, 150, support, v, np.random.default_rng(seed))
+        want = dense_statistic(which, spec, 150, support, v, np.random.default_rng(seed))
+        assert want > 0.0
+        assert abs(got - want) <= 1e-12 * want, (seed, got, want)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "subsampled_dft"])
+def test_event_statistic_full_support_has_empty_complement(family):
+    spec = EVENT_SPECS[family]
+    v = np.linspace(1.0, 2.0, 32)
+    full = SupportSet(tuple(range(32)), 32)
+    assert _event_statistic("E3", spec, 40, full, v, np.random.default_rng(1)) == 0.0
+    assert _event_statistic("E4", spec, 40, full, None, np.random.default_rng(1)) == 0.0
+    rep = empirical_estimate("E4", spec, 40, full, 0.5, trials=3, rng=2, mu=1.0)
+    assert rep.failures == 0
+
+
+def test_event_statistic_allocates_about_one_draw():
+    # a Gaussian E4 event at the n=128 acceptance size: the draw itself is
+    # the only m x n array; the dense statistic held three of them at once
+    m, n = 10_547, 128
+    support = SupportSet((3, 40, 77, 100), n)
+    draw_bytes = m * n * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        _event_statistic("E4", gaussian(n), m, support, None, np.random.default_rng(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 1.25 * draw_bytes
+
+
 # --- weak RIP ---------------------------------------------------------------------
 
 def test_weak_rip_r0_reduces_to_support_deviation():
@@ -362,6 +444,36 @@ def test_weak_rip_permutation_invariance_outside_support():
     assert np.isclose(res.deviation, res_p.deviation, rtol=1e-12)
 
 
+def weak_rip_loop(A, T, candidates):
+    """Per-candidate scan: the first R with the largest deviation."""
+    best_dev, best_R = -1.0, ()
+    for R in candidates:
+        idx = sorted(T.indices + tuple(R))
+        sub = A[:, idx]
+        dev = float(np.max(np.abs(np.linalg.eigvalsh(sub.conj().T @ sub - np.eye(len(idx))))))
+        if dev > best_dev:
+            best_dev, best_R = dev, tuple(sorted(R))
+    return best_dev, best_R
+
+
+def test_weak_rip_matches_per_candidate_loop_across_chunks():
+    rng = np.random.default_rng(29)
+    A = (rng.standard_normal((48, 30)) + 1j * rng.standard_normal((48, 30))) / np.sqrt(96)
+    T = SupportSet((4, 11, 25), 30)
+    r = 3  # 3276 candidate sets of size 6, over one chunk of stacked blocks
+    assert math.comb(27, r) > _CHUNK_ENTRIES // 36
+    res = weak_rip_empirical(A, T, r, delta=0.5)
+    dev, R = weak_rip_loop(A, T, itertools.combinations(T.complement().tolist(), r))
+    assert np.isclose(res.deviation, dev, rtol=1e-12) and res.witness == R
+    # sampled mode draws its candidates from the generator in the same order
+    res = weak_rip_empirical(A, T, r, delta=0.5, mode="sampled", budget=2500, rng=31)
+    gen = np.random.default_rng(31)
+    drawn = [gen.choice(T.complement(), size=r, replace=False).tolist() for _ in range(2500)]
+    dev, R = weak_rip_loop(A, T, drawn)
+    assert np.isclose(res.deviation, dev, rtol=1e-12) and res.witness == R
+    assert res.candidates_checked == 2500
+
+
 def test_weak_rip_exhaustive_refusal_and_validation():
     A = np.eye(60)
     with pytest.raises(ValueError, match="sampled"):
@@ -370,6 +482,8 @@ def test_weak_rip_exhaustive_refusal_and_validation():
         weak_rip_empirical(A, SupportSet((0,), 60), 60, delta=0.5)
     with pytest.raises(ValueError):
         weak_rip_empirical(A, SupportSet((0,), 60), 1, delta=0.5, mode="guess")
+    with pytest.raises(ValueError):
+        weak_rip_empirical(A, SupportSet((), 60), 0, delta=0.5)  # nothing to measure
 
 
 # --- exact RIP constant -------------------------------------------------------------
@@ -405,6 +519,47 @@ def test_rip_exact_s1_is_column_norm_deviation():
     A = rng.standard_normal((15, 8)) / np.sqrt(15)
     expected = max(abs(np.linalg.norm(A[:, j]) ** 2 - 1.0) for j in range(8))
     assert np.isclose(rip_constant_exact(A, 1), expected, rtol=1e-12)
+
+
+def rip_loop(A, s):
+    """Per-subset scan, one eigvalsh of sub* sub a subset."""
+    worst = 0.0
+    for S in itertools.combinations(range(A.shape[1]), s):
+        sub = A[:, list(S)]
+        lam = np.linalg.eigvalsh(sub.conj().T @ sub)
+        worst = max(worst, float(lam[-1] - 1.0), float(1.0 - lam[0]))
+    return worst
+
+
+def test_rip_exact_chunked_blocks_match_per_subset_loop():
+    rng = np.random.default_rng(47)
+    A = (rng.standard_normal((40, 16)) + 1j * rng.standard_normal((40, 16))) / np.sqrt(80)
+    assert math.comb(16, 5) > _CHUNK_ENTRIES // 25  # 4368 subsets cross a chunk boundary
+    assert abs(rip_constant_exact(A, 5) - rip_loop(A, 5)) <= 1e-12 * rip_loop(A, 5)
+    B = A.real * np.sqrt(2.0)
+    assert abs(rip_constant_exact(B, 5) - rip_loop(B, 5)) <= 1e-12 * rip_loop(B, 5)
+
+
+def test_rip_exact_signed_permutation_zero_across_chunks():
+    P = np.zeros((16, 16))
+    for j, p in enumerate(np.random.default_rng(3).permutation(16)):
+        P[p, j] = -1.0 if j % 2 else 1.0
+    assert rip_constant_exact(P, 5) == 0.0
+
+
+def test_rip_exact_memory_bounded_on_large_scan():
+    # 184 756 subsets of size 10: all blocks at once would take 148 MB
+    rng = np.random.default_rng(53)
+    A = rng.standard_normal((30, 20)) / np.sqrt(30)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        delta = rip_constant_exact(A, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 8 * 2**20
+    assert rip_constant_exact(A, 1) <= delta < 10.0
 
 
 def test_rip_exact_budget_refusal():
@@ -463,6 +618,21 @@ def test_noise_projection_validation():
         noise_correlation_bound(np.ones((3, 1)))  # n < 2
     with pytest.raises(ValueError):
         noise_correlation_bound(np.eye(4), sigma=-0.5)
+
+
+def test_noise_exceedance_blocks_match_per_draw_loop():
+    rng = np.random.default_rng(61)
+    B = rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))
+    # a threshold low enough that about a third of the draws exceed it
+    chk = NoiseCorrelationCheck(B, 0.7, 12, threshold=7.0)
+    trials = 2 * (_CHUNK_ENTRIES // 40) + 7  # two full blocks and a short one
+    gen = np.random.default_rng(67)
+    rep = chk.exceedance(trials, rng=gen)
+    ref = np.random.default_rng(67)
+    count = sum(float(np.max(np.abs(B.conj().T @ (0.7 * ref.standard_normal(40))))) > 7.0
+                for _ in range(trials))
+    assert 0 < rep.failures == count < trials
+    assert gen.random() == ref.random()
 
 
 def test_noise_check_dataclass_fields():
