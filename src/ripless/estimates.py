@@ -475,12 +475,12 @@ class NoiseCorrelationCheck:
         """
         gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         m = self.matrix.shape[0]
-        B = _conj(self.matrix)
+        conj_B = _conj(self.matrix)
         rows = max(1, _CHUNK_ENTRIES // max(1, m))
         failures = 0
         for start in range(0, trials, rows):
             Z = self.sigma * gen.standard_normal((min(rows, trials - start), m))
-            stats = np.max(np.abs(Z @ B), axis=1, initial=0.0)
+            stats = np.max(np.abs(Z @ conj_B), axis=1, initial=0.0)
             failures += int(np.count_nonzero(stats > self.threshold))
         return EmpiricalReport.from_counts(failures, trials, 1.0 / (2.0 * self.n))
 
