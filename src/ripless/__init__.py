@@ -18,7 +18,6 @@ from .core import (
     best_s_approx,
     matrix_from_csv,
     matrix_to_csv,
-    operator_norm,
     realify,
     sign_pattern,
     vector_from_csv,
@@ -86,7 +85,6 @@ __all__ = [
     "best_s_approx",
     "matrix_from_csv",
     "matrix_to_csv",
-    "operator_norm",
     "realify",
     "sign_pattern",
     "vector_from_csv",

@@ -22,7 +22,6 @@ __all__ = [
     "sign_pattern",
     "restrict_columns",
     "max_column_norm",
-    "operator_norm",
     "realify",
     "matrix_to_csv",
     "matrix_from_csv",
@@ -212,21 +211,6 @@ def max_column_norm(A) -> float:
     if A.shape[1] == 0:
         return 0.0
     return float(np.sqrt(np.max(np.sum(np.abs(A) ** 2, axis=0))))
-
-
-def operator_norm(A) -> float:
-    """Largest singular value of A, from one dense SVD (singular values only).
-
-    At the sizes the laboratory uses this is faster than power iteration
-    on the Gram operator, and it is exact to working precision even when
-    the top two singular values coincide.
-    """
-    A = A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError("operator_norm expects a 2-d array")
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[0])
 
 
 def realify(A, y=None):

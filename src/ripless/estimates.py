@@ -262,9 +262,17 @@ def _event_statistic(which, spec, m, support, v, rng) -> float:
     raise AssertionError(which)
 
 
+# Tie rule: a statistic within this relative margin below its threshold
+# reaches it. Lattice-valued rows (coordinate sampling, binary) give
+# statistics that equal the level in exact arithmetic, and those events
+# occur whatever the order of the floating-point operations.
+_TIE_MARGIN = 1e-9
+
+
 def _event_occurs(which, spec, m, support, v, level, rng) -> bool:
     stat = _event_statistic(which, spec, m, support, v, rng)
-    return stat >= (level * float(np.linalg.norm(v)) if which in ("E2", "E3") else level)
+    threshold = level * float(np.linalg.norm(v)) if which in ("E2", "E3") else level
+    return stat >= threshold * (1.0 - _TIE_MARGIN)
 
 
 def empirical_estimate(which: str, spec: EnsembleSpec, m: int, target, level: float,

@@ -11,9 +11,13 @@ Every 100 ADMM iterations it polishes: it solves the support of the
 current iterate exactly and returns that point as soon as the ADMM's dual
 point, corrected onto the support, certifies it, so a run whose iterates
 creep towards a known support ends there instead of at the iteration cap.
-LASSO runs FISTA with gradient-based adaptive restart, and the Dantzig
-selector runs two-block ADMM against its box-constrained reformulation,
-with the x-update applied through the eigenpairs of A^T A. Both noisy
+LASSO runs FISTA with gradient-based adaptive restart, its step from the
+top eigenvalue of the smaller Gram matrix. The Dantzig selector runs
+two-block ADMM against its box-constrained reformulation, factoring A
+once through the eigenpairs of A^T A, which give both the x-update and
+the least-squares point; every 20 iterations it polishes to the LP vertex
+that the iterate's support and active rows point to, and returns that
+vertex as soon as its dual point certifies it. Both noisy
 programs return x = 0 exactly, without iterating, when
 ||A^T y||_inf <= lam_sigma: zero then meets the LASSO subgradient
 conditions and is Dantzig-feasible with l1 norm 0. Every returned
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .core import MeasurementMatrix, MeasurementVector, as_signal, best_s_approx, operator_norm
+from .core import MeasurementMatrix, MeasurementVector, as_signal, best_s_approx
 
 __all__ = [
     "RecoveryProblem",
@@ -342,8 +346,11 @@ def lasso(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL
           max_iter: int = MAX_ITER, track_objective: bool = False) -> SolverResult:
     """Minimize (1/2)||A x - y||_2^2 + lam_sigma ||x||_1.
 
-    FISTA with step 1/L, L = ||A||^2, and gradient-based adaptive
-    restart. The subgradient conditions are the stopping rule: off the
+    FISTA with step 1/L and gradient-based adaptive restart. L = ||A||^2
+    is the top eigenvalue of the smaller Gram matrix, A^T A when m >= n
+    and A A^T otherwise; a tall A also takes its gradients and KKT checks
+    as (A^T A) v, so an iteration costs n^2 rather than 2 m n. The
+    subgradient conditions are the stopping rule: off the
     support |[A^T(y - A x)]_i| <= lam_sigma, on the support the
     correlation equals lam_sigma sign(x_i). When ||A^T y||_inf <=
     lam_sigma those conditions hold at x = 0, which is returned exactly
@@ -360,14 +367,21 @@ def lasso(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL
     tube0 = float(np.max(np.abs(Aty), initial=0.0))
     if tube0 <= gamma:
         return SolverResult(np.zeros(n), 0, 0.0, tube0, 0.5 * float(y @ y), True)
-    step = 1.0 / operator_norm(A) ** 2
+    # ||A||^2 is the top eigenvalue of the smaller Gram matrix; a tall A
+    # also takes its gradients through the n x n one
+    G = A.T @ A if m >= n else A @ A.T
+    step = 1.0 / float(np.linalg.eigvalsh(G)[-1])
+
+    def normal(v):
+        # A^T A v
+        return G @ v if m >= n else A.T @ (A @ v)
 
     def objective(v):
         r = A @ v - y
         return 0.5 * float(r @ r) + gamma * float(np.sum(np.abs(v)))
 
     def kkt_violation(v):
-        g = Aty - A.T @ (A @ v)
+        g = Aty - normal(v)
         on = v != 0.0
         off_excess = float(max(0.0, np.max(np.abs(g[~on])) - gamma)) if np.any(~on) else 0.0
         on_mismatch = float(np.max(np.abs(g[on] - gamma * np.sign(v[on])))) if np.any(on) else 0.0
@@ -381,7 +395,7 @@ def lasso(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        grad = A.T @ (A @ w) - Aty
+        grad = normal(w) - Aty
         x_next = _soft(w - step * grad, step * gamma)
         # restart when the momentum direction opposes the gradient mapping
         if float((w - x_next) @ (x_next - x)) > 0.0:
@@ -410,15 +424,24 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
     """Minimize ||x||_1 subject to ||A^T(A x - y)||_inf <= lam_sigma.
 
     Two-block ADMM on the splitting z1 = x (l1 term) and z2 = M x with
-    M = A^T A (box constraint around c = A^T y). The x-update applies
-    (I + M^2)^{-1} through the eigen-decomposition M = V diag(ev) V^T,
-    computed once. When lam_sigma > 0 and ||A^T y||_inf <= lam_sigma,
-    x = 0 is feasible with l1 norm 0 and is returned exactly with zero
-    iterations. The feasible set is never empty:
-    the least-squares solution x_ls zeroes the constraint exactly, and a
-    final blend toward x_ls enforces feasibility at the stated absolute
-    tolerance. A scaled dual point kappa certifies optimality through
-    the gap ||x||_1 + c . kappa + lam_sigma ||kappa||_1.
+    M = A^T A (box constraint around c = A^T y). The one factorization is
+    the eigen-decomposition M = V diag(ev) V^T: the x-update applies
+    (I + M^2)^{-1} through it, and the least-squares point is
+    x_ls = pinv(A) y = V (V^T c) / ev on the eigenvalues above
+    max(m, n) eps ev_max. When lam_sigma > 0 and ||A^T y||_inf <=
+    lam_sigma, x = 0 is feasible with l1 norm 0 and is returned exactly
+    with zero iterations. The feasible set is never empty: x_ls zeroes the
+    constraint to rounding, and a final blend toward x_ls enforces
+    feasibility at the stated absolute tolerance. A scaled dual point
+    kappa certifies optimality through the gap
+    ||x||_1 + c . kappa + lam_sigma ||kappa||_1.
+
+    Every 20 iterations a vertex polish takes the support S of z1, the
+    rows I where z2 sits on the box and the side sigma_I of each. When
+    |S| = |I| it solves M[I,S] x_S = c_I + lam_sigma sigma_I and
+    M[S,I] kappa_I = -sign(x_S), and returns that vertex, converged, only
+    when the same certificate puts its KKT residual within tol_rel;
+    otherwise, or on a singular solve, the ADMM carries on untouched.
     """
     A = _real_matrix(A)
     m, n = A.shape
@@ -432,23 +455,28 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
     if gamma > 0.0 and tube0 <= gamma:
         return SolverResult(np.zeros(n), 0, 0.0, tube0, 0.0, True)
 
-    x_ls = np.linalg.lstsq(A, y, rcond=None)[0]  # A^T(A x_ls - y) = 0 exactly
+    M = A.T @ A
+    ev, V = np.linalg.eigh(M)
+    # x_ls = pinv(A) y from the same eigenpairs, on the eigenvalues above
+    # the cut (ascending, so the dropped ones are a prefix); M x_ls = c then
+    # holds to rounding, since c = A^T y has no component along the null
+    # space of A
+    k = int(np.count_nonzero(ev <= _rank_cut(A) * np.max(ev, initial=0.0)))
+    x_ls = V[:, k:] @ ((V[:, k:].T @ c) / ev[k:])
 
     if gamma == 0.0:
         # the polytope collapses onto the normal equations
         obj = float(np.sum(np.abs(x_ls)))
         return SolverResult(x_ls, 0, 0.0, _tube(A, x_ls, y), obj, True)
 
-    M = A.T @ A
     lo, hi = c - gamma, c + gamma
-    ev, V = np.linalg.eigh(M)
     w = 1.0 / (1.0 + ev * ev)
 
     def x_solve(rhs):
         # (I + M^2)^{-1} rhs
         return V @ (w * (V.T @ rhs))
 
-    def polish(x):
+    def blend(x):
         # blend toward x_ls until the constraint holds strictly; the
         # constraint value shrinks linearly in the blend and the l1 cost
         # moves by O(violation), negligible at convergence
@@ -471,6 +499,28 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
         feas = max(0.0, float(np.max(np.abs(M @ x - c))) - gamma) / max(gamma, 1.0)
         return max(rel_gap, feas), obj
 
+    def vertex(z1, z2):
+        # the LP vertex guessed from the iterate: the support S of z1 and
+        # the rows I where z2 sits on the box, on side sigma_I. When
+        # |S| = |I|, the active rows hold with equality,
+        # M[I,S] x_S = c_I + gamma sigma_I, and kappa on I zeroes the
+        # subgradient on S, M[S,I] kappa_I = -sign(x_S), which closes the gap
+        S = np.flatnonzero(z1)
+        on_hi = z2 == hi
+        I = np.flatnonzero(on_hi | (z2 == lo))
+        if S.size == 0 or S.size != I.size:
+            return None
+        side = np.where(on_hi[I], 1.0, -1.0)
+        M_IS = M[np.ix_(I, S)]
+        try:
+            x_S = np.linalg.solve(M_IS, c[I] + gamma * side)
+            kappa_I = np.linalg.solve(M_IS.T, -np.sign(x_S))
+        except np.linalg.LinAlgError:
+            return None
+        x_p, kappa = np.zeros(n), np.zeros(n)
+        x_p[S], kappa[I] = x_S, kappa_I
+        return x_p, kappa
+
     x = x_ls.copy()
     z1, z2 = x.copy(), M @ x
     u1, u2 = np.zeros(n), np.zeros(n)
@@ -489,11 +539,20 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
         r_dual = rho * math.hypot(float(np.linalg.norm(z1 - z1_prev)),
                                   float(np.linalg.norm(M @ (z2 - z2_prev))))
         if r_primal <= eps and r_dual <= eps:
-            kkt, _ = certify(polish(x), rho * u2)
+            kkt, _ = certify(blend(x), rho * u2)
             if kkt <= tol_rel:
                 converged = True
                 break
             eps = max(eps * 0.2, 1e-14)
+        if it % 20 == 0:
+            # vertex polish: once the iterate has found the active set, its
+            # exact vertex is certified long before the iterates are
+            polished = vertex(z1, z2)
+            if polished is not None:
+                kkt, obj = certify(*polished)
+                if kkt <= tol_rel:
+                    x_p = polished[0]
+                    return SolverResult(x_p, it, kkt, _tube(A, x_p, y), obj, True)
         if it % 100 == 0:
             if r_primal > 10.0 * r_dual:
                 rho *= 2.0
@@ -504,7 +563,7 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
                 u1 *= 2.0
                 u2 *= 2.0
 
-    x = polish(x)
+    x = blend(x)
     kkt, obj = certify(x, rho * u2)
     return SolverResult(x, it, kkt, _tube(A, x, y), obj, converged)
 

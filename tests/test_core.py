@@ -16,7 +16,6 @@ from ripless.core import (
     matrix_from_csv,
     matrix_to_csv,
     max_column_norm,
-    operator_norm,
     realify,
     restrict_columns,
     sign_pattern,
@@ -115,53 +114,6 @@ def test_max_column_norm_matches_loop(complex_entries):
         A = A + 1j * rng.standard_normal((6, 9))
     expected = max(np.linalg.norm(A[:, j]) for j in range(A.shape[1]))
     assert np.isclose(max_column_norm(A), expected, rtol=1e-12)
-
-
-def test_operator_norm_identity_and_diag():
-    assert np.isclose(operator_norm(np.eye(7)), 1.0, rtol=1e-12)
-    assert np.isclose(operator_norm(np.diag([3.0, -5.0])), 5.0, rtol=1e-12)
-
-
-def charpoly_spectral_radius(M):
-    # Faddeev-LeVerrier charpoly coefficients, then roots; independent of
-    # LAPACK's eigensolver
-    n = M.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    Mk = np.eye(n)
-    for k in range(1, n + 1):
-        Mk = M @ Mk
-        ck = -np.trace(Mk) / k
-        Mk += ck * np.eye(n)
-        coeffs[k] = ck
-    return np.max(np.abs(np.roots(coeffs)))
-
-
-def test_operator_norm_symmetric_charpoly_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        B = rng.standard_normal((5, 5))
-        M = (B + B.T) / 2
-        # symmetric: operator norm equals spectral radius
-        assert np.isclose(operator_norm(M), charpoly_spectral_radius(M), rtol=1e-8)
-
-
-def test_operator_norm_degenerate_top_pair():
-    # equal top singular values, where an iterative estimate would stall
-    rng = np.random.default_rng(5)
-    Q = np.linalg.qr(rng.standard_normal((70, 70)))[0]
-    R = np.linalg.qr(rng.standard_normal((70, 70)))[0]
-    vals = np.ones(70)
-    vals[2:] = rng.random(68) * 0.5
-    A = Q @ np.diag(vals) @ R
-    assert np.isclose(operator_norm(A), 1.0, rtol=1e-9)
-
-
-def test_operator_norm_empty_and_complex():
-    assert operator_norm(np.zeros((0, 4))) == 0.0
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-    assert np.isclose(operator_norm(A), np.linalg.svd(A, compute_uv=False)[0], rtol=1e-12)
 
 
 # --- realification -----------------------------------------------------------

@@ -20,6 +20,7 @@ from ripless.ensembles import (
 )
 from ripless.estimates import (
     _CHUNK_ENTRIES,
+    _event_occurs,
     _event_statistic,
     EmpiricalReport,
     NoiseCorrelationCheck,
@@ -371,6 +372,32 @@ def test_event_statistic_matches_dense_statistic(which, family):
         want = dense_statistic(which, spec, 150, support, v, np.random.default_rng(seed))
         assert want > 0.0
         assert abs(got - want) <= 1e-12 * want, (seed, got, want)
+
+
+def test_event_occurs_when_the_statistic_ties_the_level():
+    # coordinate sampling at n=32, m=160: when every support count c is 3 or
+    # 7, |32 c / 160 - 1| = 0.4, so the E2 statistic equals 0.4 ||v|| in
+    # exact arithmetic; rounding put these trials on either side of it
+    spec = coordinate_sampling(32)
+
+    def tie_trial(t):
+        rng = np.random.default_rng([t, 160])
+        idx = np.sort(rng.choice(32, 3, replace=False))
+        v = np.zeros(32)
+        amps = rng.standard_normal(3)
+        v[idx] = amps / np.linalg.norm(amps)
+        return SupportSet.from_signal(v), v, rng
+
+    below = 0
+    for t in (24, 30, 88, 109, 116):
+        support, v, rng = tie_trial(t)
+        level = 0.4 * np.linalg.norm(v)
+        for statistic in (_event_statistic, dense_statistic):
+            stat = statistic("E2", spec, 160, *tie_trial(t))
+            assert abs(stat - level) <= 1e-14
+            below += stat < level
+        assert _event_occurs("E2", spec, 160, support, v, 0.4, rng)
+    assert below > 0
 
 
 @pytest.mark.parametrize("family", ["gaussian", "subsampled_dft"])

@@ -273,6 +273,74 @@ def test_lasso_validation():
         lasso(np.ones((2, 2)), np.ones(2), -0.5)
 
 
+def reference_lasso(A, y, gamma):
+    """lasso as it was with L from an SVD of A and every product A^T (A v)."""
+    n = A.shape[1]
+    Aty = A.T @ y
+    if np.max(np.abs(Aty)) <= gamma:
+        return np.zeros(n), 0, True
+    step = 1.0 / np.linalg.svd(A, compute_uv=False)[0] ** 2
+
+    def kkt_violation(v):
+        g = Aty - A.T @ (A @ v)
+        on = v != 0.0
+        off_excess = float(max(0.0, np.max(np.abs(g[~on])) - gamma)) if np.any(~on) else 0.0
+        on_mismatch = float(np.max(np.abs(g[on] - gamma * np.sign(v[on])))) if np.any(on) else 0.0
+        return max(off_excess, on_mismatch)
+
+    tol_kkt = 1e-9 + 1e-7 * max(gamma, float(np.max(np.abs(Aty))), 1.0)
+    x = np.zeros(n)
+    w = x.copy()
+    t = 1.0
+    converged = False
+    for it in range(1, MAX_ITER + 1):
+        x_next = soft(w - step * (A.T @ (A @ w) - Aty), step * gamma)
+        if float((w - x_next) @ (x_next - x)) > 0.0:
+            t = 1.0
+            w = x.copy()
+            continue
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        w = x_next + ((t - 1.0) / t_next) * (x_next - x)
+        x, t = x_next, t_next
+        if it % 10 == 0 and kkt_violation(x) <= tol_kkt:
+            converged = True
+            break
+    return x, it, converged or kkt_violation(x) <= tol_kkt
+
+
+def test_lasso_matches_the_svd_step_reference_on_tall_and_wide_systems():
+    # the Gram eigenvalue and the n x n gradient change only rounding
+    n, s, sigma = 128, 4, 0.2
+    for m in (64, 96, 192, 384):
+        gamma = default_lambda(n) * sigma / math.sqrt(m)
+        for seed in range(3):
+            A, x, y = planted(n, s, m, 12000 + 10 * m + seed, sigma=sigma)
+            res = lasso(A, y, gamma)
+            x_ref, it_ref, conv_ref = reference_lasso(A, y, gamma)
+            assert it_ref > 0 and res.converged == conv_ref
+            assert np.max(np.abs(res.x_hat - x_ref)) <= 1e-10 * max(1.0, np.max(np.abs(x_ref)))
+
+
+def test_lasso_step_is_one_over_the_top_singular_value_squared():
+    # one iteration from x = 0 returns soft(step A^T y, step gamma), so the
+    # step reads back from the coordinate where |A^T y| peaks; the last
+    # matrix has equal top singular values
+    rng = np.random.default_rng(85)
+    Q = np.linalg.qr(rng.standard_normal((70, 70)))[0]
+    R = np.linalg.qr(rng.standard_normal((70, 70)))[0]
+    vals = np.ones(70)
+    vals[2:] = rng.random(68) * 0.5
+    for A in (rng.standard_normal((40, 16)), rng.standard_normal((16, 40)), (Q * vals) @ R):
+        y = rng.standard_normal(A.shape[0])
+        Aty = A.T @ y
+        j = int(np.argmax(np.abs(Aty)))
+        gamma = 0.5 * abs(Aty[j])
+        res = lasso(A, y, gamma, max_iter=1)
+        step = abs(res.x_hat[j]) / (abs(Aty[j]) - gamma)
+        sigma_max = np.linalg.svd(A, compute_uv=False)[0]
+        assert abs(step * sigma_max**2 - 1.0) <= 1e-12
+
+
 # --- Dantzig selector -----------------------------------------------------------
 
 def test_dantzig_zero_when_level_dominates():
@@ -357,6 +425,42 @@ def test_dantzig_error_stays_within_four_times_lasso():
         e_d = np.linalg.norm(dantzig(A, y, gamma).x_hat - x)
         within += e_d <= 4.0 * max(e_l, 1e-15)
     assert within >= 18  # 90%
+
+
+def test_dantzig_vertex_polish_matches_lp_oracle():
+    # wide and tall Gaussian systems at the default level: each call ends at
+    # a polish checkpoint on the LP vertex, far inside the ADMM's own tolerance
+    n_s_m = [(64, 3, 48), (32, 3, 80)]
+    for (n, s, m), base in zip(n_s_m, (9000, 9100)):
+        gamma = default_lambda(n) * 0.1 / math.sqrt(m)
+        for seed in range(base, base + 4):
+            A, x, y = planted(n, s, m, seed, sigma=0.1)
+            res = dantzig(A, y, gamma)
+            _, obj_lp = dantzig_lp_oracle(A, y, gamma)
+            assert res.converged and res.kkt_residual <= 1e-12
+            assert 0 < res.iterations <= 100 and res.iterations % 20 == 0
+            assert abs(res.objective - obj_lp) <= 1e-8 * obj_lp
+            assert np.max(np.abs(A.T @ (A @ res.x_hat - y))) <= gamma * (1.0 + 1e-12)
+
+
+def test_dantzig_falls_back_to_the_admm_until_the_active_set_squares(monkeypatch):
+    # at the checkpoint at 20 the support of z1 and the active rows of z2
+    # differ in size, so no vertex is solved and the ADMM carries on; the
+    # one vertex solved, at 40, is the optimum
+    A, x, y = planted(64, 3, 48, 9005, sigma=0.1)
+    gamma = default_lambda(64) * 0.1 / math.sqrt(48)
+    solves = {"count": 0}
+    real_solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        solves["count"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    res = dantzig(A, y, gamma)
+    assert res.iterations == 40 and solves["count"] == 2
+    _, obj_lp = dantzig_lp_oracle(A, y, gamma)
+    assert res.converged and abs(res.objective - obj_lp) <= 1e-8 * obj_lp
 
 
 def test_dantzig_gamma_zero_collapses_to_equality_system():
@@ -580,8 +684,8 @@ def test_basis_pursuit_falls_back_when_gesdd_balks(monkeypatch):
 
 
 def count_factorizations(monkeypatch):
-    # counts np.linalg.svd and np.linalg.eigh calls; lstsq is forbidden
-    calls = {"svd": 0, "eigh": 0}
+    # counts np.linalg.svd, eigh and eigvalsh calls; lstsq is forbidden
+    calls = {"svd": 0, "eigh": 0, "eigvalsh": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -590,10 +694,10 @@ def count_factorizations(monkeypatch):
         return wrapper
 
     def no_lstsq(*args, **kwargs):
-        raise AssertionError("basis_pursuit called lstsq")
+        raise AssertionError("a solver called lstsq")
 
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     monkeypatch.setattr(scipy.linalg, "lstsq", no_lstsq)
     return calls
@@ -607,11 +711,28 @@ def test_basis_pursuit_factors_once(monkeypatch):
     A_tall = rng.standard_normal((40, 16))
     systems = [planted(32, 3, 20, 78)[::2], (A_tall, A_tall @ rng.standard_normal(16))]
     calls = count_factorizations(monkeypatch)
-    for (A, y), expected in zip(systems, ({"svd": 1, "eigh": 0}, {"svd": 0, "eigh": 1})):
-        calls.update(svd=0, eigh=0)
+    for (A, y), expected in zip(systems, ({"svd": 1, "eigh": 0, "eigvalsh": 0},
+                                          {"svd": 0, "eigh": 1, "eigvalsh": 0})):
+        calls.update(svd=0, eigh=0, eigvalsh=0)
         res = basis_pursuit(A, y)
         assert res.converged
         assert calls == expected
+
+
+def test_noisy_programs_factor_once(monkeypatch):
+    # LASSO takes ||A||^2 from one eigvalsh of the smaller Gram matrix, with
+    # no SVD; Dantzig's x-update and least-squares point share one eigh of
+    # A^T A, with no SVD and no lstsq; on a wide and a tall system
+    systems = [planted(64, 3, 48, 21, sigma=0.1), planted(32, 3, 80, 23, sigma=0.1)]
+    calls = count_factorizations(monkeypatch)
+    for A, x, y in systems:
+        gamma = default_lambda(A.shape[1]) * 0.1 / math.sqrt(A.shape[0])
+        for solve, gam, expected in ((lasso, gamma, {"svd": 0, "eigh": 0, "eigvalsh": 1}),
+                                     (dantzig, gamma, {"svd": 0, "eigh": 1, "eigvalsh": 0}),
+                                     (dantzig, 0.0, {"svd": 0, "eigh": 1, "eigvalsh": 0})):
+            calls.update(svd=0, eigh=0, eigvalsh=0)
+            assert solve(A, y, gam).converged
+            assert calls == expected
 
 
 def test_bp_tall_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
@@ -624,7 +745,7 @@ def test_bp_tall_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
     y = A[:, 4] - 2.0 * A[:, 9]
     calls = count_factorizations(monkeypatch)
     res = basis_pursuit(A, y)
-    assert calls == {"svd": 0, "eigh": 1}
+    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
     assert res.iterations > 0 and res.converged
     _, obj_lp = l1_lp_oracle(A, y)
     assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
@@ -643,7 +764,7 @@ def test_bp_tall_ill_conditioned_falls_back_to_the_svd(monkeypatch):
     y = A @ x
     calls = count_factorizations(monkeypatch)
     res = basis_pursuit(A, y)
-    assert calls == {"svd": 1, "eigh": 1}
+    assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 0}
     assert res.iterations == 0 and res.converged
     x_ls = np.linalg.pinv(A, rcond=1e-14) @ y
     assert np.linalg.norm(res.x_hat - x_ls) <= 1e-5 * np.linalg.norm(x_ls)
