@@ -33,7 +33,6 @@ from .ensembles import (
 )
 from .solvers import (
     ErrorBoundInputs,
-    RecoveryProblem,
     SolverResult,
     basis_pursuit,
     dantzig,
@@ -41,7 +40,6 @@ from .solvers import (
     l1_error_bound,
     l2_error_bound,
     lasso,
-    solve_problem,
 )
 from .certificates import (
     DualCertificate,
@@ -96,7 +94,6 @@ __all__ = [
     "sample_rows",
     "stochastic_coherence",
     "ErrorBoundInputs",
-    "RecoveryProblem",
     "SolverResult",
     "basis_pursuit",
     "dantzig",
@@ -104,7 +101,6 @@ __all__ = [
     "l1_error_bound",
     "l2_error_bound",
     "lasso",
-    "solve_problem",
     "DualCertificate",
     "GolfingConfig",
     "certificate_w_norm_check",

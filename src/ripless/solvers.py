@@ -1,16 +1,17 @@
 """Recovery programs: basis pursuit, LASSO, Dantzig selector.
 
 All three are first-order methods with no external solver behind them:
-basis pursuit factors A once, a tall A through the eigenpairs of the
-n x n Gram matrix A^T A and a wide one (or a tall one whose rank the Gram
-matrix cannot settle) by a thin SVD. It returns the pseudoinverse
-solution outright when A has full column rank (it is then the only
-feasible point), and otherwise runs ADMM with an exact projection onto
-the affine feasible set, taking its dual point from the same factors.
-Every 100 ADMM iterations it polishes: it solves the support of the
-current iterate exactly and returns that point as soon as the ADMM's dual
-point, corrected onto the support, certifies it, so a run whose iterates
-creep towards a known support ends there instead of at the iteration cap.
+basis pursuit factors A once, through the eigenpairs of the smaller Gram
+matrix (A^T A for a tall A, A A^T for a wide one), with a thin SVD only
+as the fallback when the Gram matrix cannot settle the rank. It returns
+the pseudoinverse solution outright when A has full column rank (it is
+then the only feasible point), and otherwise runs ADMM with an exact
+projection onto the affine feasible set, taking its dual point from the
+same factors. Every 10 ADMM iterations it polishes: it solves the support
+of the current iterate exactly and returns that point as soon as the
+ADMM's dual point, corrected onto the support, certifies it, so a run
+whose iterates creep towards a known support ends there instead of at
+the iteration cap. Residual balancing adjusts rho every 100 iterations.
 LASSO runs FISTA with gradient-based adaptive restart, its step from the
 top eigenvalue of the smaller Gram matrix. The Dantzig selector runs
 two-block ADMM against its box-constrained reformulation, factoring A
@@ -42,13 +43,11 @@ from scipy import linalg
 from .core import MeasurementMatrix, MeasurementVector, as_signal, best_s_approx
 
 __all__ = [
-    "RecoveryProblem",
     "SolverResult",
     "default_lambda",
     "basis_pursuit",
     "lasso",
     "dantzig",
-    "solve_problem",
     "ErrorBoundInputs",
     "alpha_factor",
     "l2_error_bound",
@@ -90,43 +89,6 @@ def _real_vector(y, m: int) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("y has NaN or infinite entries")
     return v
-
-
-@dataclass(frozen=True)
-class RecoveryProblem:
-    """A real recovery instance: matrix, measurements, noise and level.
-
-    lam defaults to 10 sqrt(log n). sigma_m defaults to the
-    MeasurementVector's own noise scale (0 for a bare array). The
-    product lam * sigma_m is what the noisy programs actually consume.
-    """
-
-    A: MeasurementMatrix
-    y: MeasurementVector
-    sigma_m: float | None = None
-    lam: float | None = None
-
-    def __post_init__(self):
-        A = self.A if isinstance(self.A, MeasurementMatrix) else MeasurementMatrix(np.asarray(self.A))
-        y = self.y if isinstance(self.y, MeasurementVector) else MeasurementVector(np.asarray(self.y))
-        if A.field != "real" or np.iscomplexobj(y.values):
-            raise ValueError("RecoveryProblem is real-only; realify complex systems first")
-        if y.m != A.m:
-            raise ValueError("A and y disagree on the number of measurements")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "y", y)
-        sig = y.sigma_m if self.sigma_m is None else float(self.sigma_m)
-        if sig < 0:
-            raise ValueError("sigma_m must be nonnegative")
-        object.__setattr__(self, "sigma_m", sig)
-        lam = default_lambda(A.n) if self.lam is None else float(self.lam)
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
-        object.__setattr__(self, "lam", lam)
-
-    @property
-    def lam_sigma(self) -> float:
-        return self.lam * self.sigma_m
 
 
 @dataclass(frozen=True)
@@ -197,28 +159,32 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
 
     One factorization of A, cut at rank eps * max(m, n) relative to its
     largest singular value, gives pinv(A) for the in-range check and the
-    projection onto {A x = y}, and pinv(A^T) for the dual point. A tall A
-    (m >= n) is factored through A^T A = V diag(lam) V^T, so that
-    pinv(A) r = V (V^T A^T r) / lam and pinv(A^T) g = A V (V^T g) / lam;
-    the eigenpairs are used only when every direction below 1e-6 lam_max
-    is also below that rank cut measured on A itself, so the rank is the
-    SVD's. A wide A, a failed eigh, or an eigenvalue between the two
-    levels takes a thin SVD of A instead. At full
-    column rank the feasible set is the single point pinv(A) y, returned
+    projection onto {A x = y}, and pinv(A^T) for the dual point. The
+    smaller Gram matrix is factored: a tall A (m >= n) through
+    A^T A = V diag(lam) V^T, so that pinv(A) r = V (V^T A^T r) / lam and
+    pinv(A^T) g = A V (V^T g) / lam, a wide one through
+    A A^T = U diag(lam) U^T, so that pinv(A) r = A^T U (U^T r) / lam and
+    pinv(A^T) g = U (U^T A g) / lam. The eigenpairs are used only when
+    every direction below 1e-6 lam_max is also below that rank cut
+    measured on A itself, so the rank is the SVD's; a failed eigh, or an
+    eigenvalue between the two levels, takes a thin SVD of A instead. At
+    full column rank the feasible set is the single point pinv(A) y, returned
     with zero iterations. Otherwise ADMM runs with the x-update that exact
     projection, so every iterate is feasible to working precision. A dual
     point nu = pinv(A^T) g (g = rho u, or sign(x) at full column rank,
     where the gap is 0), rescaled into the dual ball, certifies x through
     the gap ||x||_1 - y . nu.
 
-    Every 100 iterations a support polish takes the support S of the
+    Every 10 iterations a support polish takes the support S of the
     soft-thresholded iterate z; when 0 < |S| <= rank, it solves
     A_S x_S = y by a column-pivoted QR of A_S, on a largest independent
     part of S, and moves the ADMM's dual point the least distance onto
     {nu : A_S^T nu = sign(x_S)}. That pair goes through the same
     certificate, and the polished point is
     returned, converged, only when its KKT residual is within tol_rel;
-    otherwise the ADMM carries on untouched.
+    otherwise the ADMM carries on untouched. Residual balancing, which
+    doubles or halves rho when one residual exceeds the other tenfold,
+    runs every 100 iterations.
 
     y must lie in the range of A; anything else raises.
     """
@@ -228,8 +194,8 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
 
     # pinv_apply(r) = pinv(A) r, and dual(g) = pinv(A^T) g, the min-norm
     # solution of A^T nu = g at the rank cut
-    gram = _gram_factors(A) if m >= n > 0 else None
-    if gram is not None:
+    gram = _gram_factors(A if m >= n else A.T) if m and n else None
+    if gram is not None and m >= n:
         lam, V = gram
         rank = lam.size
 
@@ -238,6 +204,16 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
 
         def dual(g):
             return A @ (V @ ((V.T @ g) / lam))
+    elif gram is not None:
+        # eigenpairs (lam, U) of A A^T: pinv(A) = A^T U diag(1/lam) U^T
+        lam, U = gram
+        rank = lam.size
+
+        def pinv_apply(r):
+            return A.T @ (U @ ((U.T @ r) / lam))
+
+        def dual(g):
+            return U @ ((U.T @ (A @ g)) / lam)
     else:
         # The default divide-and-conquer driver reports nonconvergence on
         # some perfectly conditioned inputs (seen on realified partial-DFT
@@ -275,9 +251,10 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
         feas = float(np.linalg.norm(A @ x - y)) / (1.0 + float(np.linalg.norm(y)))
         return max(rel_gap, feas), obj
 
-    def polish(z, nu0):
-        # solve the support S of z exactly, and move nu0 the least distance
-        # onto {nu : A_S^T nu = sign(x_S)}, where the gap to x_p closes;
+    def polish(z, g):
+        # solve the support S of z exactly, and move the ADMM's dual point
+        # nu0 = pinv(A^T) g the least distance onto
+        # {nu : A_S^T nu = sign(x_S)}, where the gap to x_p closes;
         # one QR of A_S = Q R gives both, the correction being Q R^-T d.
         # Pivoting keeps a largest independent part of S, so columns that
         # repeat one another (a non-unique optimum) do not stop the polish.
@@ -291,6 +268,7 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
         x_S = linalg.solve_triangular(R, Q.T @ y)
         x_p = np.zeros(n)
         x_p[S] = x_S
+        nu0 = dual(g)
         nu = nu0 + Q @ linalg.solve_triangular(R, np.sign(x_S) - A[:, S].T @ nu0, trans="T")
         return x_p, nu
 
@@ -321,16 +299,18 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
                 break
             # certificate not yet tight: demand smaller residuals
             eps = max(eps * 0.2, 1e-14)
-        if it % 100 == 0:
+        if it % 10 == 0:
             # support polish: once z has found the optimal support, its
             # exact solution is certified long before the iterates are
-            polished = polish(z, dual(rho * u))
+            polished = polish(z, rho * u)
             if polished is not None:
                 kkt, obj = certify(*polished)
                 if kkt <= tol_rel:
                     x_p = polished[0]
                     return SolverResult(x_p, it, kkt, _tube(A, x_p, y), obj, True)
-            # residual balancing keeps the two residuals comparable
+        if it % 100 == 0:
+            # residual balancing keeps the two residuals comparable; changing
+            # rho at every polish instead stalls degenerate systems
             if r_primal > 10.0 * r_dual:
                 rho *= 2.0
                 u /= 2.0
@@ -566,20 +546,6 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
     x = blend(x)
     kkt, obj = certify(x, rho * u2)
     return SolverResult(x, it, kkt, _tube(A, x, y), obj, converged)
-
-
-_PROGRAMS = ("bp", "lasso", "dantzig")
-
-
-def solve_problem(problem: RecoveryProblem, program: str, **kwargs) -> SolverResult:
-    """Dispatch a RecoveryProblem to one of the three programs."""
-    if program not in _PROGRAMS:
-        raise ValueError(f"program must be one of {_PROGRAMS}")
-    if program == "bp":
-        return basis_pursuit(problem.A, problem.y, **kwargs)
-    if program == "lasso":
-        return lasso(problem.A, problem.y, problem.lam_sigma, **kwargs)
-    return dantzig(problem.A, problem.y, problem.lam_sigma, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -65,13 +65,23 @@ class TestSolve:
         assert second["objective"] != first["objective"]
 
     def test_tol_flag_loosens_stopping(self, tmp_path, capsys):
-        path, _ = write_problem(tmp_path)
-        main(["solve", "--program", "bp", "--problem", path])
+        # the columns come in identical pairs and the ADMM splits the weight
+        # evenly between the two of a pair, so the iterate's support stays
+        # above the rank (20), no support polish can end the run, and the
+        # stopping tolerance alone decides when it stops
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((20, 32)) / math.sqrt(20)
+        A = np.hstack([B, B])
+        y = A @ np.concatenate([rng.standard_normal(32), np.zeros(32)])
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"a": A.tolist(), "y": y.tolist()}))
+        main(["solve", "--program", "bp", "--problem", str(path)])
         tight = json.loads(capsys.readouterr().out)
-        main(["solve", "--program", "bp", "--problem", path, "--tol", "1e-3"])
+        main(["solve", "--program", "bp", "--problem", str(path), "--tol", "1e-3"])
         loose = json.loads(capsys.readouterr().out)
+        assert np.count_nonzero(tight["x_hat"]) > 20
         assert loose["iterations"] < tight["iterations"]
-        assert loose["converged"]
+        assert loose["converged"] and tight["converged"]
 
     def test_bad_inputs_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

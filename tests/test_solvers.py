@@ -7,13 +7,11 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linprog
 
-from ripless.core import MeasurementMatrix, MeasurementVector
 from ripless.ensembles import build_matrix, gaussian
 from ripless.solvers import (
     MAX_ITER,
     REL_TOL,
     ErrorBoundInputs,
-    RecoveryProblem,
     alpha_factor,
     basis_pursuit,
     dantzig,
@@ -21,7 +19,6 @@ from ripless.solvers import (
     l1_error_bound,
     l2_error_bound,
     lasso,
-    solve_problem,
     tube_diagnostic,
 )
 
@@ -474,38 +471,6 @@ def test_dantzig_gamma_zero_collapses_to_equality_system():
     assert res.converged
 
 
-# --- problem type and dispatch ----------------------------------------------------
-
-def test_recovery_problem_defaults_and_validation():
-    A = MeasurementMatrix(np.eye(16))
-    y = MeasurementVector(np.ones(16), sigma_m=0.25)
-    prob = RecoveryProblem(A, y)
-    assert np.isclose(prob.lam, 10.0 * math.sqrt(math.log(16)))
-    assert prob.sigma_m == 0.25
-    assert np.isclose(prob.lam_sigma, prob.lam * 0.25)
-    override = RecoveryProblem(A, y, sigma_m=0.5, lam=2.0)
-    assert override.lam_sigma == 1.0
-    with pytest.raises(ValueError):
-        RecoveryProblem(MeasurementMatrix(np.eye(3) + 0j * np.eye(3)), MeasurementVector(np.ones(3)))
-    with pytest.raises(ValueError):
-        RecoveryProblem(A, MeasurementVector(np.ones(5)))
-    with pytest.raises(ValueError):
-        RecoveryProblem(A, y, sigma_m=-1.0)
-
-
-def test_solve_problem_dispatch():
-    A, x, y = planted(16, 2, 12, 61)
-    prob = RecoveryProblem(MeasurementMatrix(A), MeasurementVector(y, sigma_m=0.0))
-    res = solve_problem(prob, "bp")
-    assert np.linalg.norm(res.x_hat - x) <= 1e-6
-    for program in ("lasso", "dantzig"):
-        out = solve_problem(prob, program)
-        # lam_sigma = 0: both reduce to least-squares-consistent solutions
-        assert out.x_hat.shape == (16,)
-    with pytest.raises(ValueError):
-        solve_problem(prob, "omp")
-
-
 def test_converged_implies_small_kkt():
     A, x, y = planted(32, 3, 24, 71, sigma=0.1)
     gamma = default_lambda(32) * 0.1 / math.sqrt(24)
@@ -630,20 +595,38 @@ def test_bp_certifies_the_support_where_the_admm_stalls():
     assert np.linalg.norm(A @ res.x_hat - y) <= 1e-9 * (1.0 + np.linalg.norm(y))
 
 
-def test_bp_polish_handles_repeated_columns_in_the_support():
-    # the last 10 columns repeat the first 10, so the optimum is not unique
-    # and the support of the iterate holds repeated columns; the polish
-    # solves on an independent part of it at its first checkpoint
-    rng = np.random.default_rng(3)
+def repeated_columns(seed):
+    # 16 x 50: the last 10 columns repeat the first 10, so the optimum need
+    # not be unique and the iterate's support can hold repeated columns
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((16, 40))
     A = np.hstack([A, A[:, :10]])
     x = np.zeros(50)
     x[rng.choice(50, 6, replace=False)] = rng.choice([-1.0, 1.0], 6)
-    y = A @ x
+    return A, A @ x
+
+
+def test_bp_polish_handles_repeated_columns_in_the_support():
+    # the polish solves on an independent part of the support; it ends the
+    # run at the first checkpoint where the support of z is no larger than
+    # the rank (at 10, 20 and 30 it holds 42 to 48 of the 50 columns)
+    A, y = repeated_columns(3)
     res = basis_pursuit(A, y)
     _, obj_lp = l1_lp_oracle(A, y)
-    assert res.converged and res.iterations == 100
+    assert res.converged and res.iterations == 40
     assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
+
+
+def test_bp_polish_cadence_leaves_rho_balancing_alone():
+    # the polish runs every 10 iterations and residual balancing every 100;
+    # changing rho at every polish checkpoint left both systems at the
+    # iteration cap, where the ADMM reaches the LP optimum in a few thousand
+    for seed in (2, 15):
+        A, y = repeated_columns(seed)
+        res = basis_pursuit(A, y)
+        _, obj_lp = l1_lp_oracle(A, y)
+        assert res.converged and res.iterations < MAX_ITER // 20
+        assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
 
 
 def test_bp_phase_transition_below_threshold_converges():
@@ -663,10 +646,23 @@ def test_bp_phase_transition_below_threshold_converges():
 
 # --- SVD driver robustness ----------------------------------------------------------
 
+def ill_conditioned(m, n, seed):
+    # singular values from 1 down to 1e-9: sigma_min lies between the Gram
+    # level (1e-3 sigma_max) and the SVD's rank cut, so the Gram factors are
+    # refused and the SVD decides the rank
+    rng = np.random.default_rng(seed)
+    Q1, _ = np.linalg.qr(rng.standard_normal((m, min(m, n))))
+    Q2, _ = np.linalg.qr(rng.standard_normal((n, min(m, n))))
+    return (Q1 * np.logspace(0, -9, min(m, n))) @ Q2.T, rng
+
+
 def test_basis_pursuit_falls_back_when_gesdd_balks(monkeypatch):
     # the default LAPACK driver is allowed to fail once; the solver must
     # quietly take the slow driver and still certify optimality
-    A, x, y = planted(32, 3, 20, 77)
+    A, rng = ill_conditioned(20, 32, 77)
+    x = np.zeros(32)
+    x[rng.choice(32, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
+    y = A @ x
     real_svd = np.linalg.svd
     raised = {"count": 0}
 
@@ -705,13 +701,13 @@ def count_factorizations(monkeypatch):
 
 def test_basis_pursuit_factors_once(monkeypatch):
     # one factorization per call, for the full-rank exit and for the ADMM
-    # alike: the SVD of a wide A, the eigh of A^T A for a tall one; the
+    # alike: the eigh of A A^T for a wide A, of A^T A for a tall one; the
     # dual point comes from its factors, never from a second least squares
     rng = np.random.default_rng(79)
     A_tall = rng.standard_normal((40, 16))
     systems = [planted(32, 3, 20, 78)[::2], (A_tall, A_tall @ rng.standard_normal(16))]
     calls = count_factorizations(monkeypatch)
-    for (A, y), expected in zip(systems, ({"svd": 1, "eigh": 0, "eigvalsh": 0},
+    for (A, y), expected in zip(systems, ({"svd": 0, "eigh": 1, "eigvalsh": 0},
                                           {"svd": 0, "eigh": 1, "eigvalsh": 0})):
         calls.update(svd=0, eigh=0, eigvalsh=0)
         res = basis_pursuit(A, y)
@@ -752,14 +748,29 @@ def test_bp_tall_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
     assert res.objective >= obj_lp - 1e-7 * max(1.0, obj_lp)
 
 
+def test_bp_wide_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
+    # a duplicated row leaves a wide 12 x 30 system at rank 11: the
+    # eigendecomposition of A A^T decides that rank, with no SVD, and the
+    # ADMM on its factors reaches the LP optimum
+    rng = np.random.default_rng(86)
+    A = rng.standard_normal((12, 30))
+    A[11] = A[3]
+    x = np.zeros(30)
+    x[rng.choice(30, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
+    y = A @ x
+    calls = count_factorizations(monkeypatch)
+    res = basis_pursuit(A, y)
+    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
+    assert res.iterations > 0 and res.converged
+    _, obj_lp = l1_lp_oracle(A, y)
+    assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
+    assert res.objective >= obj_lp - 1e-7 * max(1.0, obj_lp)
+
+
 def test_bp_tall_ill_conditioned_falls_back_to_the_svd(monkeypatch):
-    # sigma_min = 1e-9 sigma_max lies between the Gram level (1e-3 sigma_max)
-    # and the SVD's rank cut, so the Gram factors are refused and the SVD
-    # decides full column rank: the least-squares point, with no iterations
-    rng = np.random.default_rng(83)
-    Q1, _ = np.linalg.qr(rng.standard_normal((40, 16)))
-    Q2, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-    A = (Q1 * np.logspace(0, -9, 16)) @ Q2.T
+    # the SVD decides full column rank: the least-squares point, with no
+    # iterations
+    A, rng = ill_conditioned(40, 16, 83)
     x = rng.standard_normal(16)
     y = A @ x
     calls = count_factorizations(monkeypatch)
@@ -768,6 +779,21 @@ def test_bp_tall_ill_conditioned_falls_back_to_the_svd(monkeypatch):
     assert res.iterations == 0 and res.converged
     x_ls = np.linalg.pinv(A, rcond=1e-14) @ y
     assert np.linalg.norm(res.x_hat - x_ls) <= 1e-5 * np.linalg.norm(x_ls)
+
+
+def test_bp_wide_ill_conditioned_falls_back_to_the_svd(monkeypatch):
+    # the wide system's Gram matrix A A^T is refused the same way; the ADMM
+    # on the SVD's factors recovers the planted signal (HiGHS is no oracle
+    # here: at this conditioning it reports points below the l1 optimum)
+    A, rng = ill_conditioned(16, 40, 83)
+    x = np.zeros(40)
+    x[rng.choice(40, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
+    y = A @ x
+    calls = count_factorizations(monkeypatch)
+    res = basis_pursuit(A, y)
+    assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 0}
+    assert res.converged and res.kkt_residual <= REL_TOL
+    assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
 
 
 def test_basis_pursuit_on_gesdd_hard_realified_stack():
