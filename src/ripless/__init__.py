@@ -44,12 +44,10 @@ from .solvers import (
 from .certificates import (
     DualCertificate,
     GolfingConfig,
-    certificate_w_norm_check,
     config_from_total,
     default_config,
     golfing_scheme,
     least_squares_dual,
-    verify_exact_duality,
     verify_inexact_duality,
 )
 from .estimates import (
@@ -103,12 +101,10 @@ __all__ = [
     "lasso",
     "DualCertificate",
     "GolfingConfig",
-    "certificate_w_norm_check",
     "config_from_total",
     "default_config",
     "golfing_scheme",
     "least_squares_dual",
-    "verify_exact_duality",
     "verify_inexact_duality",
     "EmpiricalReport",
     "TailBoundQuery",

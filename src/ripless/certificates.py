@@ -48,13 +48,9 @@ __all__ = [
     "default_config",
     "config_from_total",
     "golfing_scheme",
-    "ExactDualityReport",
     "InexactDualityReport",
-    "verify_exact_duality",
     "verify_inexact_duality",
     "least_squares_dual",
-    "WNormCheck",
-    "certificate_w_norm_check",
 ]
 
 # Smallest batch worth testing: below this the acceptance statistics are
@@ -361,52 +357,6 @@ def golfing_scheme(spec: EnsembleSpec, T, sign_pattern, config: GolfingConfig,
 
 
 @dataclass(frozen=True)
-class ExactDualityReport:
-    """Margins for the exact duality conditions.
-
-    passes iff v lies in the row space (residual <= 1e-8), matches
-    sgn(x_T) on the support to 1e-8, and stays strictly below 1 in
-    modulus off the support. `rank_ok` records the precondition that
-    A_T has full column rank; when it fails the other margins are NaN.
-    """
-
-    passed: bool
-    rank_ok: bool
-    smallest_singular: float
-    rowspace_residual: float
-    sign_error: float
-    off_support_margin: float
-
-
-def verify_exact_duality(v, A, T, x) -> ExactDualityReport:
-    """Check v_T = sgn(x_T), ||v_{T^c}||_inf < 1, and v in the row space."""
-    A = np.asarray(A.rows if hasattr(A, "rows") else A)
-    n = A.shape[1]
-    t_idx = _support_indices(T, n)
-    v = np.asarray(getattr(v, "v", v))
-    if v.shape != (n,):
-        raise ValueError(f"v must have shape ({n},)")
-    x = np.asarray(x)
-    signs = _unit_signs(x[t_idx], "x")
-
-    smallest = float(np.linalg.svd(A[:, t_idx], compute_uv=False)[-1])
-    if smallest <= 1e-10:
-        nan = float("nan")
-        return ExactDualityReport(False, False, smallest, nan, nan, nan)
-
-    herm = A.conj().T
-    w = np.linalg.lstsq(herm, v, rcond=None)[0]
-    residual = float(np.linalg.norm(herm @ w - v))
-    sign_error = float(np.max(np.abs(v[t_idx] - signs)))
-    off_mask = np.ones(n, dtype=bool)
-    off_mask[t_idx] = False
-    off_peak = float(np.max(np.abs(v[off_mask]))) if np.any(off_mask) else 0.0
-    margin = 1.0 - off_peak
-    passed = residual <= 1e-8 and sign_error <= 1e-8 and margin > 0.0
-    return ExactDualityReport(passed, True, smallest, residual, sign_error, margin)
-
-
-@dataclass(frozen=True)
 class InexactDualityReport:
     """The four inexact duality conditions with their margins.
 
@@ -493,21 +443,3 @@ def least_squares_dual(A, T, x):
     w = np.linalg.lstsq(at_herm, signs, rcond=None)[0]
     return A.conj().T @ w, w
 
-
-@dataclass(frozen=True)
-class WNormCheck:
-    """||w||_2 / sqrt(s) against the caller's constant C0."""
-
-    ratio: float
-    passed: bool
-    c0: float
-
-
-def certificate_w_norm_check(cert: DualCertificate, s: int, c0: float = 10.0) -> WNormCheck:
-    """Check the dual multiplier size law ||w||_2 <= C0 sqrt(s)."""
-    if not cert.success:
-        raise ValueError("w-norm law applies to successful certificates only")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    ratio = float(np.linalg.norm(cert.w)) / math.sqrt(s)
-    return WNormCheck(ratio=ratio, passed=ratio <= c0, c0=c0)

@@ -1,9 +1,12 @@
 """Command-line front end: solve, certify, estimate, run, replay.
 
 The commands are thin wrappers over the library; anything they print can
-be reproduced by the documented calls, and `certify` / `estimate` share
-their seeding scheme with the experiment driver so a CLI row equals the
-corresponding harness cell at the same seed.
+be reproduced by the documented calls. `certify` runs the harness's
+`golfing_trial`, so its row t equals trial t of cell 0 of a
+certificate_rate run at the same seed, and the e1..e4 rows of `estimate`
+run `estimate_cell`, so row i equals cell i of an estimate_sweep run at
+the same seed. The weakrip and noise rows draw from the same per-cell
+generator, SeedSequence(seed, spawn_key=(i,)).
 
 File schemas (all JSON):
 
@@ -21,8 +24,9 @@ grid.json (for `estimate`)
     Per kind the cell carries:
       e1..e4   s, m, level
       weakrip  s, r, m, delta, optional mode ("exhaustive"|"sampled"),
-               optional budget (sampled mode draws)
+               optional budget (sampled mode draws, default 1000)
       noise    m, optional sigma (default 1)
+    Counts must be integers and levels numbers, as in a config document.
 
 cfg.json (for `run`) is the experiment config document; see
 ExperimentConfig.to_doc / from_doc. `replay` reads the config.json
@@ -37,31 +41,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .certificates import config_from_total, golfing_scheme, verify_inexact_duality
+from .certificates import verify_inexact_duality
 from .core import SupportSet, matrix_from_csv, vector_from_csv
 from .ensembles import EnsembleSpec, build_matrix
-from .estimates import (
-    clopper_pearson,
-    empirical_estimate,
-    noise_correlation_bound,
-    weak_rip_empirical,
-)
+from .estimates import clopper_pearson, noise_correlation_bound, weak_rip_empirical
 from .harness import (
     ExperimentConfig,
     GridCell,
-    _csv_field,
-    _estimate_target,
-    _reference_mu,
     config_hash,
+    doc_float,
+    doc_int,
+    estimate_cell,
+    format_csv,
+    golfing_trial,
     replay_trial,
     run_experiment,
-    trial_rng,
 )
 from .solvers import basis_pursuit, dantzig, default_lambda, lasso
 
@@ -167,16 +166,10 @@ def cmd_solve(args) -> int:
 
 def cmd_certify(args) -> int:
     spec = _ensemble_from_arg(args.ensemble, args.n)
-    n = spec.n
-    schedule = config_from_total(n, args.s, args.m)
+    cell = GridCell(spec.n, args.s, args.m)
     rows = []
     for t in range(args.trials):
-        rng = trial_rng(args.seed, 0, t)
-        idx = np.sort(rng.choice(n, args.s, replace=False))
-        signs = np.zeros(n)
-        signs[idx] = rng.choice([-1.0, 1.0], args.s)
-        support = SupportSet(tuple(int(k) for k in idx), n)
-        cert = golfing_scheme(spec, support, signs, schedule, rng)
+        support, signs, cert = golfing_trial(spec, cell, args.seed, 0, t)
         report = verify_inexact_duality(cert, cert.matrix, support, signs)
         rows.append({
             "success": cert.success,
@@ -194,11 +187,9 @@ def _estimate_cell_spec(cell: dict, i: int) -> EnsembleSpec:
     return _ensemble_from_arg(cell["ensemble"], cell.get("n"))
 
 
-def _require(cell: dict, i: int, *keys):
-    missing = [k for k in keys if k not in cell]
-    if missing:
-        raise ValueError(f"grid cell {i} is missing {missing}")
-    return [cell[k] for k in keys]
+def _report_columns(report) -> dict:
+    return {"empirical_rate": report.empirical_rate, "bound": report.theoretical_bound,
+            "ci_upper": report.ci_upper, "pass": report.passed}
 
 
 def cmd_estimate(args) -> int:
@@ -207,65 +198,49 @@ def cmd_estimate(args) -> int:
     if not isinstance(cells, list) or not cells:
         raise ValueError("grid must be a nonempty list of cells")
     which = args.which.lower()
-
-    if which in ("e1", "e2", "e3", "e4"):
-        columns = ("which", "family", "n", "s", "m", "level", "trials",
-                   "empirical_rate", "bound", "ci_upper", "pass")
-    elif which == "weakrip":
-        columns = ("which", "family", "n", "s", "r", "m", "delta", "mode",
-                   "trials", "empirical_rate", "bound", "ci_upper", "pass")
-    else:
-        columns = ("which", "family", "n", "m", "sigma", "trials",
-                   "empirical_rate", "bound", "ci_upper", "pass")
-
-    lines = [",".join(columns)]
+    rows = []
     for i, cell in enumerate(cells):
         spec = _estimate_cell_spec(cell, i)
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
+        where = f"grid cell {i}"
+        head = {"which": which, "family": spec.family, "n": spec.n}
         if which in ("e1", "e2", "e3", "e4"):
-            s, m, level = _require(cell, i, "s", "m", "level")
-            target = _estimate_target(which.upper(), GridCell(spec.n, int(s), int(m)), rng)
-            report = empirical_estimate(which.upper(), spec, int(m), target,
-                                        float(level), args.trials, rng=rng,
-                                        mu=_reference_mu(spec))
-            row = {"which": which, "family": spec.family, "n": spec.n, "s": int(s),
-                   "m": int(m), "level": float(level), "trials": args.trials,
-                   "empirical_rate": report.empirical_rate,
-                   "bound": report.theoretical_bound,
-                   "ci_upper": report.ci_upper, "pass": report.passed}
-        elif which == "weakrip":
-            s, r, m, delta = _require(cell, i, "s", "r", "m", "delta")
+            grid_cell = GridCell(spec.n, doc_int(cell, "s", where), doc_int(cell, "m", where))
+            level = doc_float(cell, "level", where=where)
+            report = estimate_cell(which.upper(), spec, grid_cell, level, args.trials,
+                                   args.seed, i)
+            rows.append({**head, "s": grid_cell.s, "m": grid_cell.m, "level": level,
+                         "trials": args.trials, **_report_columns(report)})
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
+        if which == "weakrip":
+            s, r, m = (doc_int(cell, key, where) for key in ("s", "r", "m"))
+            delta = doc_float(cell, "delta", where=where)
             mode = cell.get("mode", "exhaustive")
-            budget = int(cell.get("budget", 1000))
+            budget = doc_int(cell, "budget", where, default=1000)
             violations = 0
             for _ in range(args.trials):
-                idx = np.sort(rng.choice(spec.n, int(s), replace=False))
+                idx = np.sort(rng.choice(spec.n, s, replace=False))
                 support = SupportSet(tuple(int(k) for k in idx), spec.n)
-                A = build_matrix(spec, int(m), rng=rng)
-                res = weak_rip_empirical(A, support, int(r), float(delta),
-                                         mode=mode, budget=budget, rng=rng)
+                A = build_matrix(spec, m, rng=rng)
+                res = weak_rip_empirical(A, support, r, delta, mode=mode, budget=budget,
+                                         rng=rng)
                 violations += not res.satisfied
             _, upper = clopper_pearson(violations, args.trials)
             # the guarantee's constant is unnamed, so there is no numeric
             # bound column; pass records a clean sheet (any violation
             # disproves the isometry at this delta on the checked family)
-            row = {"which": which, "family": spec.family, "n": spec.n, "s": int(s),
-                   "r": int(r), "m": int(m), "delta": float(delta), "mode": mode,
-                   "trials": args.trials,
-                   "empirical_rate": violations / args.trials,
-                   "bound": None, "ci_upper": upper, "pass": violations == 0}
+            rows.append({**head, "s": s, "r": r, "m": m, "delta": delta, "mode": mode,
+                         "trials": args.trials, "empirical_rate": violations / args.trials,
+                         "bound": None, "ci_upper": upper, "pass": violations == 0})
         else:
-            (m,) = _require(cell, i, "m")
-            sigma = float(cell.get("sigma", 1.0))
-            A = build_matrix(spec, int(m), rng=rng)
+            m = doc_int(cell, "m", where)
+            sigma = doc_float(cell, "sigma", 1.0, where)
+            A = build_matrix(spec, m, rng=rng)
             report = noise_correlation_bound(A, sigma).exceedance(args.trials, rng=rng)
-            row = {"which": which, "family": spec.family, "n": spec.n, "m": int(m),
-                   "sigma": sigma, "trials": args.trials,
-                   "empirical_rate": report.empirical_rate,
-                   "bound": report.theoretical_bound,
-                   "ci_upper": report.ci_upper, "pass": report.passed}
-        lines.append(",".join(_csv_field(row[c]) for c in columns))
-    print("\n".join(lines))
+            rows.append({**head, "m": m, "sigma": sigma, "trials": args.trials,
+                         **_report_columns(report)})
+    # every row of one kind has the same keys, in column order
+    print(format_csv(tuple(rows[0]), rows), end="")
     return 0
 
 
@@ -297,6 +272,13 @@ def cmd_replay(args) -> int:
     return 0
 
 
+def _trial_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ripless",
@@ -320,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_trial_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
@@ -328,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, type=str.lower, choices=ESTIMATE_CHOICES)
     p.add_argument("--grid", required=True,
                    help="grid JSON (inline or path); see module docs for the schema")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_trial_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_estimate)
 

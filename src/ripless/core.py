@@ -8,7 +8,6 @@ identity when the row distribution is isotropic.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "as_signal",
     "best_s_approx",
     "sign_pattern",
-    "restrict_columns",
     "max_column_norm",
     "realify",
     "matrix_to_csv",
@@ -136,9 +134,6 @@ class MeasurementMatrix:
         """The sampled sensing vectors a_k, undoing conjugation and scaling."""
         return np.conj(self.rows) * np.sqrt(self.m)
 
-    def apply(self, x) -> np.ndarray:
-        return self.rows @ np.asarray(x)
-
 
 @dataclass(frozen=True)
 class MeasurementVector:
@@ -192,17 +187,6 @@ def best_s_approx(x, s: int) -> np.ndarray:
 def sign_pattern(x) -> np.ndarray:
     """Componentwise sign with sign_pattern(0) = 0."""
     return np.sign(np.asarray(x, dtype=float))
-
-
-def restrict_columns(A, support) -> np.ndarray:
-    """Columns of A on the given support, in support order.
-
-    `support` may be a SupportSet or any index array. An empty support
-    yields an (m, 0) matrix.
-    """
-    A = A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
-    idx = support.to_array() if isinstance(support, SupportSet) else np.asarray(support, dtype=int)
-    return A[:, idx]
 
 
 def max_column_norm(A) -> float:
@@ -334,10 +318,3 @@ def vector_from_csv(path_or_buf) -> np.ndarray:
         raise ValueError("expected a single-column vector file")
     return arr[:, 0]
 
-
-def csv_round_trip(arr) -> np.ndarray:
-    """Serialize then parse, for bit-exactness checks."""
-    buf = io.StringIO()
-    _serialize(np.atleast_2d(arr), buf)
-    buf.seek(0)
-    return _deserialize(buf)

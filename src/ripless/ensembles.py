@@ -29,15 +29,12 @@ __all__ = [
     "random_convolution_pulse",
     "coordinate_sampling",
     "continuous_fourier",
-    "sample_row",
     "sample_rows",
     "build_matrix",
     "deterministic_coherence",
     "stochastic_coherence",
     "gaussian_row_tail",
     "isotropy_check",
-    "near_isotropy_deviation",
-    "NEAR_ISOTROPY_TOL",
 ]
 
 FAMILIES = (
@@ -268,11 +265,6 @@ def sample_rows(spec: EnsembleSpec, m: int, rng, cols=None) -> np.ndarray:
     raise AssertionError(fam)
 
 
-def sample_row(spec: EnsembleSpec, rng) -> np.ndarray:
-    """Draw a single raw sensing vector a in C^n."""
-    return sample_rows(spec, 1, rng)[0]
-
-
 def build_matrix(spec: EnsembleSpec, m: int, rng=None) -> MeasurementMatrix:
     """Stack m fresh draws into the normalized matrix with rows a_k*/sqrt(m).
 
@@ -375,19 +367,3 @@ def isotropy_check(spec: EnsembleSpec, num_rows: int, rng=None) -> float:
     dev = G - np.eye(spec.n)
     return float(np.max(np.abs(np.linalg.eigvalsh(dev))))
 
-
-NEAR_ISOTROPY_TOL = "1/(8 sqrt(n))"
-
-
-def near_isotropy_deviation(W) -> tuple[float, bool]:
-    """Deviation ||W - I|| and whether it meets the 1/(8 sqrt n) tolerance.
-
-    W is the (possibly conditional) second-moment matrix of a row
-    distribution; everything downstream tolerates this much anisotropy.
-    """
-    W = np.asarray(W)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError("W must be square")
-    n = W.shape[0]
-    dev = float(np.max(np.abs(np.linalg.eigvalsh(W - np.eye(n)))))
-    return dev, dev <= 1.0 / (8.0 * math.sqrt(n))

@@ -27,8 +27,6 @@ __all__ = [
     "TailBoundQuery",
     "EmpiricalReport",
     "OutOfStatedRangeWarning",
-    "matrix_bernstein_tail",
-    "vector_bernstein_tail",
     "e1_tail",
     "e2_tail",
     "e3_tail",
@@ -86,27 +84,6 @@ class TailBoundQuery:
             raise ValueError("coherence mu is always >= 1")
         if not (self.level >= 0.0):
             raise ValueError("deviation level must be nonnegative")
-
-
-def matrix_bernstein_tail(d: int, B: float, sigma_sq: float, t: float) -> float:
-    """P(||sum X_k|| >= t) for independent centered self-adjoint X_k.
-
-    Requires ||X_k|| <= B almost surely and ||sum E X_k^2|| <= sigma_sq.
-    """
-    if d < 1 or B <= 0 or sigma_sq <= 0 or t < 0:
-        raise ValueError("need d >= 1, B > 0, sigma_sq > 0, t >= 0")
-    return min(1.0, 2.0 * d * math.exp(-(t * t / 2.0) / (sigma_sq + B * t / 3.0)))
-
-
-def vector_bernstein_tail(sigma_sq: float, t: float) -> float:
-    """P(||sum v_k|| >= t) for independent centered vectors, dimension-free.
-
-    Valid on 0 <= t <= sigma_sq / B; the caller enforces the range since
-    B does not appear in the bound itself.
-    """
-    if sigma_sq <= 0 or t < 0:
-        raise ValueError("need sigma_sq > 0, t >= 0")
-    return min(1.0, math.exp(-t * t / (8.0 * sigma_sq) + 0.25))
 
 
 def e1_tail(q: TailBoundQuery) -> float:

@@ -2,21 +2,35 @@
 
 Five experiment kinds cover the library's claims at desk scale: noiseless
 phase transitions, noisy error scaling, golfing certificate rates,
-estimate-validation sweeps, and cross-ensemble comparisons. A run is
-fully determined by (config, seed): every trial owns the substream
-rng(seed, cell, trial) derived by SeedSequence spawn keys, and
+estimate-validation sweeps, and cross-ensemble comparisons. Each kind is
+defined once, in the `_KINDS` table: a trial function that runs one trial
+and returns its private details, a cell function that turns a cell's
+trials into CSV columns, and the CSV's column list. `run_experiment` runs
+the cell functions, `replay_trial` calls the trial function, and the
+`certify` and `estimate` commands call `golfing_trial` and
+`estimate_cell`, the same functions the certificate and estimate kinds
+use.
+
+A run is fully determined by (config, seed): every trial owns the
+substream rng(seed, cell, trial) derived by SeedSequence spawn keys, and
 aggregation is order-independent counting, so results are byte-identical
 across thread counts. Wall-clock timings live in the result object and
 the config.json sidecar, never in the CSV, to keep the CSV reproducible.
 
-Within a trial the stream is consumed in a fixed order: signal first
-(support, then amplitudes), then the sensing matrix, then measurement
-noise. `replay_trial` re-executes exactly that sequence for one trial.
+Within a recovery trial the stream is consumed in a fixed order: signal
+first (support, then amplitudes), then the sensing matrix, then
+measurement noise. An estimate_sweep cell instead derives one generator
+from SeedSequence(seed, spawn_key=(cell,)), draws the target from it and
+spawns the trials' streams from what is left.
 
 Complex ensembles are realified for the recovery experiments: a cell's m
 counts ensemble draws, the solved real system has 2m rows, and the noise
 scale is sigma / sqrt(2m) per realified row, matching the per-measurement
 normalization of the model on the system actually handed to the solver.
+
+The solvers, `golfing_scheme`, `empirical_estimate` and `trial_rng` are
+looked up as module globals at call time, so a caller that rebinds them
+here (a tracer, a test) sees every call.
 """
 
 from __future__ import annotations
@@ -53,13 +67,13 @@ __all__ = [
     "config_hash",
     "trial_rng",
     "plant_signal",
-    "run_phase_transition",
-    "run_error_scaling",
-    "run_certificate_rate",
-    "run_estimate_sweep",
-    "run_ensemble_compare",
+    "golfing_trial",
+    "estimate_cell",
     "run_experiment",
     "replay_trial",
+    "format_csv",
+    "doc_int",
+    "doc_float",
 ]
 
 KINDS = (
@@ -113,25 +127,31 @@ class GridCell:
         extra = set(doc) - {"n", "s", "m", "sigma"}
         if extra:
             raise ValueError(f"unknown grid cell keys: {sorted(extra)}")
-        return GridCell(_doc_int(doc, "n", "grid cell"), _doc_int(doc, "s", "grid cell"),
-                        _doc_int(doc, "m", "grid cell"),
-                        _doc_float(doc, "sigma", 0.0, "grid cell"))
+        return GridCell(doc_int(doc, "n", "grid cell"), doc_int(doc, "s", "grid cell"),
+                        doc_int(doc, "m", "grid cell"),
+                        doc_float(doc, "sigma", 0.0, "grid cell"))
 
 
-def _doc_int(doc: dict, key: str, where: str = "config") -> int:
-    # JSON numbers arrive as int or float; a fractional or non-numeric
-    # count is an error, never truncated
-    if key not in doc:
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def doc_int(doc: dict, key: str, where: str = "config", default=_REQUIRED) -> int:
+    """An integer key of a JSON document; a fractional, boolean or
+    non-numeric value is an error, never truncated."""
+    if key not in doc and default is _REQUIRED:
         raise ValueError(f"{where} is missing required key '{key}'")
-    value = doc[key]
+    value = doc.get(key, default)
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) or not integral:
         raise ValueError(f"{where} key '{key}' must be an integer, got {value!r}")
     return int(value)
 
 
-def _doc_float(doc: dict, key: str, default: float | None, where: str = "config"):
-    # null stands for "not given" only where the default is None
+def doc_float(doc: dict, key: str, default=_REQUIRED, where: str = "config"):
+    """A numeric key of a JSON document; null stands for "not given" only
+    where the default is None."""
+    if key not in doc and default is _REQUIRED:
+        raise ValueError(f"{where} is missing required key '{key}'")
     value = doc.get(key, default)
     if value is None and default is None:
         return None
@@ -200,6 +220,8 @@ class ExperimentConfig:
             raise ValueError(f"signal must be one of {SIGNAL_MODELS}")
         if self.lam is not None and not (self.lam > 0.0):
             raise ValueError("lam must be positive when given")
+        if not (self.beta > 0.0):
+            raise ValueError(f"beta must be > 0, got {self.beta!r}")
         for spec in self.all_ensembles:
             for cell in grid:
                 if cell.n != spec.n:
@@ -280,15 +302,15 @@ class ExperimentConfig:
             kind=doc["kind"],
             ensemble=EnsembleSpec.from_dict(_doc_of(doc, "ensemble", dict)),
             grid=tuple(GridCell.from_doc(c) for c in _doc_of(doc, "grid", list)),
-            trials=_doc_int(doc, "trials"),
-            seed=_doc_int(doc, "seed"),
+            trials=doc_int(doc, "trials"),
+            seed=doc_int(doc, "seed"),
             program=doc.get("program", "bp"),
             signal=doc.get("signal", "pm1"),
-            signal_power=_doc_float(doc, "signal_power", 2.0),
-            lam=_doc_float(doc, "lam", None),
-            beta=_doc_float(doc, "beta", 1.0),
+            signal_power=doc_float(doc, "signal_power", 2.0),
+            lam=doc_float(doc, "lam", None),
+            beta=doc_float(doc, "beta", 1.0),
             which=doc.get("which"),
-            level=_doc_float(doc, "level", None),
+            level=doc_float(doc, "level", None),
             ensembles=tuple(EnsembleSpec.from_dict(e) for e in extra_specs),
             out=doc.get("out"),
         )
@@ -305,11 +327,6 @@ def config_hash(config: ExperimentConfig) -> str:
 def trial_rng(seed: int, cell: int, trial: int) -> np.random.Generator:
     """The deterministic substream owned by one trial of one cell."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell, trial)))
-
-
-def _cell_rng(seed: int, cell: int) -> np.random.Generator:
-    # distinct from any (cell, trial) stream: spawn keys differ in length
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
 
 
 def plant_signal(n: int, s: int, model: str, power: float,
@@ -353,19 +370,19 @@ def _sufficient_rows(spec: EnsembleSpec, s: int) -> int:
     return math.ceil((56.0 / 3.0) * _reference_mu(spec) * s * math.log(spec.n))
 
 
+# -- trial functions: (config, spec, cell, cell index, trial) -> dict ------
+
 def _recovery_trial(config: ExperimentConfig, spec: EnsembleSpec, cell: GridCell,
-                    cell_index: int, trial: int) -> dict:
-    rng = trial_rng(config.seed, cell_index, trial)
+                    index: int, trial: int) -> dict:
+    rng = trial_rng(config.seed, index, trial)
     x = plant_signal(cell.n, cell.s, config.signal, config.signal_power, rng)
     A = build_matrix(spec, cell.m, rng=rng)
     rows = realify(A).rows
-    clean = rows @ x
+    y = rows @ x
     m_rows = rows.shape[0]
     sigma_m = cell.sigma / math.sqrt(m_rows)
     if cell.sigma > 0.0:
-        y = clean + sigma_m * rng.standard_normal(m_rows)
-    else:
-        y = clean
+        y = y + sigma_m * rng.standard_normal(m_rows)
 
     if config.program == "bp":
         result = basis_pursuit(rows, y)
@@ -395,116 +412,208 @@ def _recovery_trial(config: ExperimentConfig, spec: EnsembleSpec, cell: GridCell
     }
 
 
-def _map_trials(fn, trials: int, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(t) for t in range(trials)]
+def _compare_trial(config, spec, cell, index, trial) -> dict:
+    return {**_recovery_trial(config, spec, cell, index, trial), "ensemble": spec.family}
 
 
-def _success_record(config, spec, cell, cell_index, threads) -> dict:
-    start = time.perf_counter()
-    outs = _map_trials(
-        lambda t: _recovery_trial(config, spec, cell, cell_index, t),
-        config.trials, threads,
-    )
+def golfing_trial(spec: EnsembleSpec, cell: GridCell, seed: int, index: int, trial: int):
+    """(support, signs, certificate) drawn in that order from trial_rng(seed,
+    index, trial): a uniform size-s support, iid +-1 signs on it, then the
+    batches of the cell's default schedule, config_from_total(n, s, m)."""
+    rng = trial_rng(seed, index, trial)
+    idx = np.sort(rng.choice(cell.n, cell.s, replace=False))
+    signs = np.zeros(cell.n)
+    signs[idx] = rng.choice([-1.0, 1.0], cell.s)
+    support = SupportSet(tuple(int(k) for k in idx), cell.n)
+    schedule = config_from_total(cell.n, cell.s, cell.m)
+    return support, signs, golfing_scheme(spec, support, signs, schedule, rng)
+
+
+def _certificate_trial(config, spec, cell, index, trial) -> dict:
+    support, signs, cert = golfing_trial(spec, cell, config.seed, index, trial)
+    idx = support.to_array()
+    off = np.delete(cert.v, idx)
     return {
-        "cell": cell_index,
-        "n": cell.n,
-        "s": cell.s,
-        "m": cell.m,
-        "sigma": cell.sigma,
-        "trials": config.trials,
-        "success_rate": sum(o["success"] for o in outs) / config.trials,
-        "nonconverged": sum(not o["converged"] for o in outs),
-        "m_sufficient": _sufficient_rows(spec, cell.s),
-        "wall_time_s": time.perf_counter() - start,
+        "support": list(support.indices),
+        "success": cert.success,
+        "batches_used": cert.batches_used,
+        "m_total": cert.m_total,
+        "q_norms": list(cert.q_norms),
+        "accepted": [b.accepted for b in cert.batch_log],
+        "sign_margin": 0.25 - float(np.linalg.norm(cert.v[idx] - signs[idx])),
+        "off_margin": 0.25 - (float(np.max(np.abs(off))) if off.size else 0.0),
     }
 
 
-def run_phase_transition(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
-    """Noiseless exact-recovery rates over the grid.
+def _estimate_draw(which: str, cell: GridCell, seed: int, index: int):
+    # (generator, support, unit vector or None), the vector for E2/E3 only
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    idx = np.sort(rng.choice(cell.n, cell.s, replace=False))
+    support = SupportSet(tuple(int(k) for k in idx), cell.n)
+    if which in ("E1", "E4"):
+        return rng, support, None
+    v = np.zeros(cell.n)
+    amps = rng.standard_normal(cell.s)
+    v[idx] = amps / np.linalg.norm(amps)
+    return rng, support, v
 
-    Success means ||x_hat - x|| <= 1e-5 ||x|| (or ||x_hat|| <= 1e-10 for
-    the planted zero signal); non-convergent solves count as failures and
-    are tallied separately. The reference column m_sufficient is the row
-    count at which the support isometry holds except with probability 2/n.
+
+def estimate_cell(which: str, spec: EnsembleSpec, cell: GridCell, level: float,
+                  trials: int, seed: int, index: int, threads: int = 1):
+    """empirical_estimate for one cell. SeedSequence(seed, spawn_key=(index,))
+    draws the target (a uniform size-s support for E1/E4, a unit vector with
+    Gaussian amplitudes on one for E2/E3), then goes to empirical_estimate
+    with the coherence mu of the spec (6 log n for the gaussian family)."""
+    rng, support, v = _estimate_draw(which, cell, seed, index)
+    return empirical_estimate(which, spec, cell.m, support if v is None else v, level,
+                              trials, rng=rng, mu=_reference_mu(spec), threads=threads)
+
+
+def _event_trial(config, spec, cell, index, trial) -> dict:
+    from .estimates import _event_occurs
+
+    rng, support, v = _estimate_draw(config.which, cell, config.seed, index)
+    event = _event_occurs(config.which, spec, cell.m, support, v, config.level,
+                          rng.spawn(config.trials)[trial])
+    return {"which": config.which, "level": config.level, "event": bool(event),
+            "support": list(support.indices)}
+
+
+# -- cell functions: (config, spec, cell, cell index, threads) -> columns --
+
+def _cell_trials(config, spec, cell, index, threads) -> list:
+    trial = _KINDS[config.kind][0]
+
+    def run(t):
+        return trial(config, spec, cell, index, t)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(config.trials)))
+    return [run(t) for t in range(config.trials)]
+
+
+def _success_cell(config, spec, cell, index, threads) -> dict:
+    outs = _cell_trials(config, spec, cell, index, threads)
+    return {
+        "success_rate": sum(o["success"] for o in outs) / config.trials,
+        "nonconverged": sum(not o["converged"] for o in outs),
+        "m_sufficient": _sufficient_rows(spec, cell.s),
+    }
+
+
+def _error_cell(config, spec, cell, index, threads) -> dict:
+    outs = _cell_trials(config, spec, cell, index, threads)
+    mu = _reference_mu(spec)
+    l2_bounds, l1_bounds = [], []
+    for o in outs:
+        inputs = ErrorBoundInputs(s=cell.s, m=o["m_rows"], n=cell.n, sigma=cell.sigma,
+                                  mu=mu, beta=config.beta, x=o["x"])
+        l2_bounds.append(l2_error_bound(inputs, config.program))
+        l1_bounds.append(l1_error_bound(inputs, config.program))
+    return {
+        "l2_sq_median": float(np.median([o["l2_sq"] for o in outs])),
+        "l1_median": float(np.median([o["l1"] for o in outs])),
+        "l2_bound": float(np.median(l2_bounds)),
+        "l1_bound": float(np.median(l1_bounds)),
+        "nonconverged": sum(not o["converged"] for o in outs),
+    }
+
+
+def _certificate_cell(config, spec, cell, index, threads) -> dict:
+    outs = _cell_trials(config, spec, cell, index, threads)
+    return {
+        "success_rate": sum(o["success"] for o in outs) / config.trials,
+        "rate_reference": max(0.0, 1.0 - 1.0 / cell.n - math.exp(-config.beta)),
+        "batches_used_median": float(np.median([o["batches_used"] for o in outs])),
+        "sign_margin_median": float(np.median([o["sign_margin"] for o in outs])),
+        "off_margin_median": float(np.median([o["off_margin"] for o in outs])),
+    }
+
+
+def _estimate_cell(config, spec, cell, index, threads) -> dict:
+    report = estimate_cell(config.which, spec, cell, config.level, config.trials,
+                           config.seed, index, threads)
+    return {
+        "which": config.which,
+        "level": config.level,
+        "empirical_rate": report.empirical_rate,
+        "theoretical_bound": report.theoretical_bound,
+        "ci_lower": report.ci_lower,
+        "ci_upper": report.ci_upper,
+        "passed": report.passed,
+    }
+
+
+_CELL_COLUMNS = ("cell", "n", "s", "m", "sigma", "trials")
+
+# kind -> (trial function, cell function, CSV columns)
+_KINDS = {
+    "phase_transition": (_recovery_trial, _success_cell, _CELL_COLUMNS + (
+        "success_rate", "nonconverged", "m_sufficient")),
+    "error_scaling": (_recovery_trial, _error_cell, _CELL_COLUMNS + (
+        "l2_sq_median", "l1_median", "l2_bound", "l1_bound", "nonconverged")),
+    "certificate_rate": (_certificate_trial, _certificate_cell, _CELL_COLUMNS + (
+        "success_rate", "rate_reference", "batches_used_median", "sign_margin_median",
+        "off_margin_median")),
+    "estimate_sweep": (_event_trial, _estimate_cell, (
+        "cell", "which", "n", "s", "m", "level", "trials", "empirical_rate",
+        "theoretical_bound", "ci_lower", "ci_upper", "passed")),
+    "ensemble_compare": (_compare_trial, _success_cell, (
+        "cell", "ensemble", "n", "s", "m", "sigma", "trials", "success_rate",
+        "nonconverged", "m_sufficient")),
+}
+
+
+def _cells(config: ExperimentConfig) -> list:
+    # (cell index, grid cell, ensemble) in CSV row order; ensemble_compare
+    # is cell-major over its ensembles, so its index is the flattened
+    # grid_cell * len(ensembles) + ensemble_position
+    specs = config.all_ensembles if config.kind == "ensemble_compare" else (config.ensemble,)
+    return [(i * len(specs) + j, cell, spec)
+            for i, cell in enumerate(config.grid) for j, spec in enumerate(specs)]
+
+
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
+    """Run every cell of the config, one CSV row per cell.
+
+    Basis pursuit succeeds when ||x_hat - x|| <= 1e-5 ||x|| (||x_hat|| <=
+    1e-10 for the zero signal); a solve that does not converge fails and
+    is also counted in nonconverged. m_sufficient is the row count at
+    which the support isometry holds except with probability 2/n.
+    error_scaling gives medians over trials of the errors and of the
+    bound shapes at C = 1, and the metadata the fitted slope of log median
+    squared error against log(s/m), reported, never asserted.
+    certificate_rate gives the golfing success frequency, the full-scale
+    guarantee 1 - 1/n - exp(-beta), and the median margins
+    1/4 - ||v_T - sgn|| and 1/4 - ||v_off||_inf.
     """
-    _require_kind(config, "phase_transition")
-    records = [
-        _success_record(config, config.ensemble, cell, i, threads)
-        for i, cell in enumerate(config.grid)
-    ]
-    columns = ("cell", "n", "s", "m", "sigma", "trials", "success_rate",
-               "nonconverged", "m_sufficient")
-    return _result(config, columns, records)
-
-
-def run_ensemble_compare(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
-    """Basis-pursuit success rates for several ensembles on one grid.
-
-    Row order is cell-major over the configured ensembles, and the `cell`
-    column carries the flattened index grid_cell * len(ensembles) +
-    ensemble_position, which is also the seeding index replay expects.
-    """
-    _require_kind(config, "ensemble_compare")
-    specs = config.all_ensembles
+    _, cell_columns, columns = _KINDS[config.kind]
     records = []
-    for i, cell in enumerate(config.grid):
-        for j, spec in enumerate(specs):
-            flat = i * len(specs) + j
-            rec = _success_record(config, spec, cell, flat, threads)
-            rec["ensemble"] = spec.family
-            records.append(rec)
-    columns = ("cell", "ensemble", "n", "s", "m", "sigma", "trials",
-               "success_rate", "nonconverged", "m_sufficient")
-    return _result(config, columns, records)
-
-
-def run_error_scaling(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
-    """Median recovery errors under noise, next to the theoretical shapes.
-
-    Per cell: median of ||x_hat - x||_2^2 and of ||x_hat - x||_1 over
-    trials, plus the medians of the corresponding error-bound values
-    evaluated at C = 1 on each trial's signal. The metadata reports the
-    fitted slope of log median squared error against log(s/m) across
-    cells; the theory predicts growth proportional to s/m up to polylog
-    factors, and the exponent is reported, never asserted.
-    """
-    _require_kind(config, "error_scaling")
-    records = []
-    for i, cell in enumerate(config.grid):
+    for index, cell, spec in _cells(config):
         start = time.perf_counter()
-        outs = _map_trials(
-            lambda t: _recovery_trial(config, config.ensemble, cell, i, t),
-            config.trials, threads,
-        )
-        mu = _reference_mu(config.ensemble)
-        l2_bounds, l1_bounds = [], []
-        for o in outs:
-            inputs = ErrorBoundInputs(s=cell.s, m=o["m_rows"], n=cell.n,
-                                      sigma=cell.sigma, mu=mu, beta=config.beta,
-                                      x=o["x"])
-            l2_bounds.append(l2_error_bound(inputs, config.program))
-            l1_bounds.append(l1_error_bound(inputs, config.program))
-        records.append({
-            "cell": i,
-            "n": cell.n,
-            "s": cell.s,
-            "m": cell.m,
-            "sigma": cell.sigma,
-            "trials": config.trials,
-            "l2_sq_median": float(np.median([o["l2_sq"] for o in outs])),
-            "l1_median": float(np.median([o["l1"] for o in outs])),
-            "l2_bound": float(np.median(l2_bounds)),
-            "l1_bound": float(np.median(l1_bounds)),
-            "nonconverged": sum(not o["converged"] for o in outs),
-            "wall_time_s": time.perf_counter() - start,
-        })
-    columns = ("cell", "n", "s", "m", "sigma", "trials", "l2_sq_median",
-               "l1_median", "l2_bound", "l1_bound", "nonconverged")
-    metadata = {"slope_log_err2_vs_log_s_over_m": _fit_slope(records)}
-    return _result(config, columns, records, metadata)
+        rec = {"cell": index, "ensemble": spec.family, **cell.to_doc(),
+               "trials": config.trials}
+        rec.update(cell_columns(config, spec, cell, index, threads))
+        rec["wall_time_s"] = time.perf_counter() - start
+        records.append(rec)
+    metadata = {
+        "success_threshold_rel_l2": SUCCESS_REL_TOL,
+        "zero_signal_abs_tol": ZERO_SIGNAL_ABS_TOL,
+        "signal_model": config.signal,
+    }
+    if config.kind == "error_scaling":
+        metadata["slope_log_err2_vs_log_s_over_m"] = _fit_slope(records)
+    return ExperimentResult(
+        kind=config.kind,
+        columns=columns,
+        records=tuple(records),
+        seed=config.seed,
+        config_hash=config_hash(config),
+        version=ARTIFACT_VERSION,
+        metadata=metadata,
+        config_doc=config.to_doc(),
+    )
 
 
 def _fit_slope(records) -> float | None:
@@ -516,151 +625,6 @@ def _fit_slope(records) -> float | None:
     if len(set(xs)) < 2:
         return None
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def run_certificate_rate(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
-    """Golfing success frequency per cell with final-condition margins.
-
-    Each trial plants a uniform support with iid +-1 signs, splits the
-    cell's m as the certificate schedule, and runs the golfing scheme.
-    rate_reference is the full-scale guarantee 1 - 1/n - exp(-beta) the
-    frequency mirrors. Margins are medians over all trials of
-    1/4 - ||v_T - sgn|| and 1/4 - ||v_off||_inf.
-    """
-    _require_kind(config, "certificate_rate")
-    records = []
-    for i, cell in enumerate(config.grid):
-        start = time.perf_counter()
-        schedule = config_from_total(cell.n, cell.s, cell.m)
-
-        def one(t, _cell=cell, _i=i, _schedule=schedule):
-            rng = trial_rng(config.seed, _i, t)
-            idx = np.sort(rng.choice(_cell.n, _cell.s, replace=False))
-            signs = np.zeros(_cell.n)
-            signs[idx] = rng.choice([-1.0, 1.0], _cell.s)
-            support = SupportSet(tuple(int(k) for k in idx), _cell.n)
-            cert = golfing_scheme(config.ensemble, support, signs, _schedule, rng)
-            sign_gap = float(np.linalg.norm(cert.v[idx] - signs[idx]))
-            off = np.delete(cert.v, idx)
-            off_peak = float(np.max(np.abs(off))) if off.size else 0.0
-            return {
-                "success": cert.success,
-                "batches_used": cert.batches_used,
-                "m_total": cert.m_total,
-                "sign_margin": 0.25 - sign_gap,
-                "off_margin": 0.25 - off_peak,
-                "q_norms": cert.q_norms,
-            }
-
-        outs = _map_trials(one, config.trials, threads)
-        records.append({
-            "cell": i,
-            "n": cell.n,
-            "s": cell.s,
-            "m": cell.m,
-            "sigma": cell.sigma,
-            "trials": config.trials,
-            "success_rate": sum(o["success"] for o in outs) / config.trials,
-            "rate_reference": max(0.0, 1.0 - 1.0 / cell.n - math.exp(-config.beta)),
-            "batches_used_median": float(np.median([o["batches_used"] for o in outs])),
-            "sign_margin_median": float(np.median([o["sign_margin"] for o in outs])),
-            "off_margin_median": float(np.median([o["off_margin"] for o in outs])),
-            "wall_time_s": time.perf_counter() - start,
-        })
-    columns = ("cell", "n", "s", "m", "sigma", "trials", "success_rate",
-               "rate_reference", "batches_used_median", "sign_margin_median",
-               "off_margin_median")
-    return _result(config, columns, records)
-
-
-def _estimate_target(which: str, cell: GridCell, rng: np.random.Generator):
-    idx = np.sort(rng.choice(cell.n, cell.s, replace=False))
-    support = SupportSet(tuple(int(k) for k in idx), cell.n)
-    if which in ("E1", "E4"):
-        return support
-    v = np.zeros(cell.n)
-    amps = rng.standard_normal(cell.s)
-    v[idx] = amps / np.linalg.norm(amps)
-    return v
-
-
-def run_estimate_sweep(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
-    """Monte Carlo validation of one tail estimate across the grid.
-
-    Cell i derives its generator from SeedSequence(seed, spawn_key=(i,)),
-    draws the target from it (a uniform size-s support for E1/E4, a unit
-    vector with Gaussian amplitudes on such a support for E2/E3), then
-    hands the same generator to empirical_estimate; a direct call with
-    that recipe reproduces the cell's report verbatim.
-    """
-    _require_kind(config, "estimate_sweep")
-    records = []
-    for i, cell in enumerate(config.grid):
-        start = time.perf_counter()
-        rng = _cell_rng(config.seed, i)
-        target = _estimate_target(config.which, cell, rng)
-        mu = _reference_mu(config.ensemble)
-        report = empirical_estimate(config.which, config.ensemble, cell.m, target,
-                                    config.level, config.trials, rng=rng, mu=mu,
-                                    threads=threads)
-        records.append({
-            "cell": i,
-            "which": config.which,
-            "n": cell.n,
-            "s": cell.s,
-            "m": cell.m,
-            "level": config.level,
-            "trials": config.trials,
-            "empirical_rate": report.empirical_rate,
-            "theoretical_bound": report.theoretical_bound,
-            "ci_lower": report.ci_lower,
-            "ci_upper": report.ci_upper,
-            "passed": report.passed,
-            "wall_time_s": time.perf_counter() - start,
-        })
-    columns = ("cell", "which", "n", "s", "m", "level", "trials",
-               "empirical_rate", "theoretical_bound", "ci_lower", "ci_upper",
-               "passed")
-    return _result(config, columns, records)
-
-
-_RUNNERS = {
-    "phase_transition": run_phase_transition,
-    "error_scaling": run_error_scaling,
-    "certificate_rate": run_certificate_rate,
-    "estimate_sweep": run_estimate_sweep,
-    "ensemble_compare": run_ensemble_compare,
-}
-
-
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
-    """Dispatch on config.kind."""
-    return _RUNNERS[config.kind](config, threads=threads)
-
-
-def _require_kind(config: ExperimentConfig, kind: str) -> None:
-    if config.kind != kind:
-        raise ValueError(f"config.kind is {config.kind!r}, expected {kind!r}")
-
-
-def _result(config, columns, records, metadata=None) -> "ExperimentResult":
-    meta = {
-        "success_threshold_rel_l2": SUCCESS_REL_TOL,
-        "zero_signal_abs_tol": ZERO_SIGNAL_ABS_TOL,
-        "signal_model": config.signal,
-    }
-    if metadata:
-        meta.update(metadata)
-    return ExperimentResult(
-        kind=config.kind,
-        columns=tuple(columns),
-        records=tuple(records),
-        seed=config.seed,
-        config_hash=config_hash(config),
-        version=ARTIFACT_VERSION,
-        metadata=meta,
-        config_doc=config.to_doc(),
-    )
 
 
 def _csv_field(value) -> str:
@@ -675,6 +639,13 @@ def _csv_field(value) -> str:
     if any(ch in text for ch in (",", '"', "\n", "\r")):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def format_csv(columns, records) -> str:
+    """A header line, then one line per record, each ending in a newline."""
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_field(rec[c]) for c in columns) for rec in records]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -695,10 +666,7 @@ class ExperimentResult:
     config_doc: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for rec in self.records:
-            lines.append(",".join(_csv_field(rec[c]) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        return format_csv(self.columns, self.records)
 
     def sidecar_doc(self) -> dict:
         return {
@@ -791,65 +759,9 @@ def replay_trial(config: ExperimentConfig, cell: int, trial: int) -> dict:
     """
     if not (0 <= trial < config.trials):
         raise ValueError(f"trial must lie in [0, {config.trials})")
-
-    if config.kind == "ensemble_compare":
-        specs = config.all_ensembles
-        if not (0 <= cell < len(config.grid) * len(specs)):
-            raise ValueError("cell out of range")
-        grid_cell = config.grid[cell // len(specs)]
-        spec = specs[cell % len(specs)]
-        out = _recovery_trial(config, spec, grid_cell, cell, trial)
-        out["ensemble"] = spec.family
-        return _listify(out)
-
-    if not (0 <= cell < len(config.grid)):
+    cells = _cells(config)
+    if not (0 <= cell < len(cells)):
         raise ValueError("cell out of range")
-    grid_cell = config.grid[cell]
-
-    if config.kind in ("phase_transition", "error_scaling"):
-        return _listify(_recovery_trial(config, config.ensemble, grid_cell,
-                                        cell, trial))
-
-    if config.kind == "certificate_rate":
-        schedule = config_from_total(grid_cell.n, grid_cell.s, grid_cell.m)
-        rng = trial_rng(config.seed, cell, trial)
-        idx = np.sort(rng.choice(grid_cell.n, grid_cell.s, replace=False))
-        signs = np.zeros(grid_cell.n)
-        signs[idx] = rng.choice([-1.0, 1.0], grid_cell.s)
-        support = SupportSet(tuple(int(k) for k in idx), grid_cell.n)
-        cert = golfing_scheme(config.ensemble, support, signs, schedule, rng)
-        return {
-            "support": [int(k) for k in idx],
-            "success": cert.success,
-            "batches_used": cert.batches_used,
-            "m_total": cert.m_total,
-            "q_norms": list(cert.q_norms),
-            "accepted": [b.accepted for b in cert.batch_log],
-        }
-
-    # estimate_sweep: same generator discipline as run_estimate_sweep
-    from .estimates import _event_occurs
-
-    rng = _cell_rng(config.seed, cell)
-    target = _estimate_target(config.which, grid_cell, rng)
-    streams = rng.spawn(config.trials)
-    if isinstance(target, SupportSet):
-        support, vector = target, None
-    else:
-        support = SupportSet.from_signal(target)
-        vector = target
-    event = _event_occurs(config.which, config.ensemble, grid_cell.m, support,
-                          vector, config.level, streams[trial])
-    return {
-        "which": config.which,
-        "level": config.level,
-        "event": bool(event),
-        "support": list(support.indices),
-    }
-
-
-def _listify(out: dict) -> dict:
-    out = dict(out)
-    out["x"] = [float(v) for v in out["x"]]
-    out["x_hat"] = [float(v) for v in out["x_hat"]]
-    return out
+    index, grid_cell, spec = cells[cell]
+    out = _KINDS[config.kind][0](config, spec, grid_cell, index, trial)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}

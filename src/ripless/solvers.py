@@ -52,7 +52,6 @@ __all__ = [
     "alpha_factor",
     "l2_error_bound",
     "l1_error_bound",
-    "tube_diagnostic",
 ]
 
 ABS_TOL = 1e-9
@@ -620,14 +619,3 @@ def l1_error_bound(inputs: ErrorBoundInputs, program: str, C: float = 1.0) -> fl
     """min over k <= s of C (1 + alpha) [||x - x_k||_1 + k sigma sqrt(log n / m)]."""
     return _bound(inputs, program, C, "l1")
 
-
-def tube_diagnostic(A, x_hat, x_true, lam_sigma: float):
-    """||A^T A (x_hat - x)||_inf against its 5/4 lam sigma ceiling.
-
-    Returns (value, ok). Needs the true signal, so this is a diagnostic
-    for planted experiments, not something a solver could check alone.
-    """
-    A = _real_matrix(A)
-    h = np.asarray(x_hat, dtype=float) - np.asarray(x_true, dtype=float)
-    value = float(np.max(np.abs(A.T @ (A @ h)))) if A.shape[1] else 0.0
-    return value, value <= 1.25 * lam_sigma

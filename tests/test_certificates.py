@@ -7,13 +7,11 @@ import pytest
 
 from ripless.certificates import (
     GolfingConfig,
-    certificate_w_norm_check,
     config_from_total,
     default_batch_count,
     default_config,
     golfing_scheme,
     least_squares_dual,
-    verify_exact_duality,
     verify_inexact_duality,
 )
 from ripless.core import SupportSet, realify
@@ -242,18 +240,12 @@ class TestMonteCarloRates:
         assert successes >= 90
 
     def test_w_norm_law(self):
+        # the dual multiplier of a successful certificate obeys ||w|| <= C0 sqrt(s)
         cfg = default_config(256, 4, mu=1.0)
         _, _, cert = run_once(DFT256, 4, cfg, seed=41)
         assert cert.success
-        check = certificate_w_norm_check(cert, 4)
-        assert math.isfinite(check.ratio)
-        assert check.passed and check.ratio <= 10.0
-        with pytest.raises(ValueError):
-            certificate_w_norm_check(cert, 0)
-        doomed = GolfingConfig(2, (36, 36), (1e-9, 1e-9), (0.5, 0.5), 1)
-        _, _, fail = run_once(DFT256, 4, doomed, seed=41)
-        with pytest.raises(ValueError):
-            certificate_w_norm_check(fail, 4)
+        ratio = np.linalg.norm(cert.w) / math.sqrt(4)
+        assert math.isfinite(ratio) and ratio <= 10.0
 
     def test_w_ratio_stable_as_n_doubles(self):
         # sqrt(s) law: the ratio should not move with n at fixed sampling ratio
@@ -266,7 +258,7 @@ class TestMonteCarloRates:
             while len(ratios) < 6:
                 cert = golfing_scheme(spec, *planted_signs(n, 4, rng), cfg, rng)
                 if cert.success:
-                    ratios.append(certificate_w_norm_check(cert, 4).ratio)
+                    ratios.append(np.linalg.norm(cert.w) / math.sqrt(4))
             means.append(np.mean(ratios))
         assert max(means) <= 2.0 * min(means)
 
@@ -283,38 +275,6 @@ class TestMonteCarloRates:
 
 
 class TestExactDuality:
-    def test_full_support_trivial_pass(self):
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((6, 6)) + np.eye(6)
-        x = rng.choice([-2.0, 1.5], 6)
-        v = np.sign(x)
-        report = verify_exact_duality(v, A, np.arange(6), x)
-        assert report.passed
-        assert report.off_support_margin == 1.0
-        assert report.rowspace_residual <= 1e-8
-        assert report.sign_error <= 1e-12
-
-    def test_off_support_violation_margin(self):
-        v = np.array([1.0, 1.5, 0.0, 0.0])
-        x = np.array([2.0, 0.0, 0.0, 0.0])
-        report = verify_exact_duality(v, np.eye(4), [0], x)
-        assert not report.passed
-        assert report.off_support_margin == pytest.approx(-0.5)
-        assert report.sign_error <= 1e-12
-
-    def test_rank_deficient_precondition_report(self):
-        A = np.zeros((4, 6))
-        A[:, 0] = 1.0
-        A[:, 1] = 1.0
-        A[0, 2] = 1.0
-        x = np.zeros(6)
-        x[[0, 1]] = 1.0
-        report = verify_exact_duality(np.zeros(6), A, [0, 1], x)
-        assert not report.passed
-        assert not report.rank_ok
-        assert report.smallest_singular <= 1e-10
-        assert math.isnan(report.rowspace_residual)
-
     def test_least_squares_dual_pins_support(self):
         A = build_matrix(EnsembleSpec("gaussian", 16), 64, rng=3)
         T = SupportSet((1, 5, 9), 16)
@@ -344,8 +304,9 @@ class TestExactDuality:
             x = np.zeros(256)
             x[T.to_array()] = signs[T.to_array()] * rng.uniform(1.0, 3.0, 4)
             v, _ = least_squares_dual(cert.matrix, T, x)
-            report = verify_exact_duality(v, cert.matrix, T, x)
-            assert report.passed
+            idx = T.to_array()
+            assert np.max(np.abs(v[idx] - np.sign(x[idx]))) <= 1e-8
+            assert np.max(np.abs(np.delete(v, idx))) < 1.0
             checked += 1
 
 

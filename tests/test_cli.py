@@ -14,7 +14,6 @@ from ripless.harness import (
     ExperimentConfig,
     GridCell,
     replay_trial,
-    run_certificate_rate,
     run_experiment,
 )
 
@@ -182,6 +181,32 @@ class TestEstimate:
                      "--trials", "5"]) == 1
         with pytest.raises(SystemExit):
             main(["estimate", "--which", "e9", "--grid", "[]"])
+
+    @pytest.mark.parametrize("which, cell, key", [
+        ("e1", {"s": 2.7, "m": 40, "level": 0.5}, "s"),
+        ("e1", {"s": True, "m": 40, "level": 0.5}, "s"),
+        ("e1", {"s": 2, "m": "40", "level": 0.5}, "m"),
+        ("e1", {"s": 2, "m": 40, "level": "0.5"}, "level"),
+        ("weakrip", {"s": 2, "r": 1, "m": 40, "delta": 0.5, "budget": 10.5}, "budget"),
+        ("noise", {"m": 40.9}, "m"),
+        ("noise", {"m": 40, "sigma": None}, "sigma"),
+    ])
+    def test_cell_values_are_typed_like_config_documents(self, capsys, which, cell, key):
+        grid = json.dumps([{"ensemble": "gaussian", "n": 16, **cell}])
+        assert main(["estimate", "--which", which, "--grid", grid, "--trials", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid cell 0 key '{key}'") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "--ensemble", "subsampled_dft", "--n", "64", "--s", "1", "--m", "150"],
+        ["estimate", "--which", "e1", "--grid", "[]"],
+    ])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_a_usage_error(self, capsys, command, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 class TestRunReplay:

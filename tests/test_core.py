@@ -12,12 +12,10 @@ from ripless.core import (
     SupportSet,
     as_signal,
     best_s_approx,
-    csv_round_trip,
     matrix_from_csv,
     matrix_to_csv,
     max_column_norm,
     realify,
-    restrict_columns,
     sign_pattern,
     vector_from_csv,
     vector_to_csv,
@@ -82,22 +80,6 @@ def test_sign_pattern_idempotent():
     x[::5] = 0.0
     s = sign_pattern(x)
     assert np.array_equal(sign_pattern(s), s)
-
-
-# --- restriction -----------------------------------------------------------
-
-def test_restrict_columns_picks_support():
-    A = np.diag([2.0, 3.0, 4.0])
-    T = SupportSet((1,), 3)
-    out = restrict_columns(A, T)
-    assert out.shape == (3, 1)
-    assert np.array_equal(out[:, 0], [0.0, 3.0, 0.0])
-
-
-def test_restrict_columns_empty_support():
-    A = np.ones((4, 3))
-    out = restrict_columns(A, SupportSet((), 3))
-    assert out.shape == (4, 0)
 
 
 # --- norms ------------------------------------------------------------------
@@ -227,10 +209,17 @@ def test_measurement_vector_validation():
 
 # --- serialization -------------------------------------------------------------
 
+def _csv_round_trip(A):
+    buf = io.StringIO()
+    matrix_to_csv(A, buf)
+    buf.seek(0)
+    return matrix_from_csv(buf)
+
+
 def test_matrix_csv_round_trip_bit_exact_real():
     rng = np.random.default_rng(17)
     A = rng.standard_normal((6, 4)) * np.exp(rng.uniform(-300, 300, (6, 4)) * np.log(10) / 64)
-    back = csv_round_trip(A)
+    back = _csv_round_trip(A)
     assert back.dtype == np.float64
     assert np.array_equal(back, A)  # bitwise, no tolerance
 
@@ -238,7 +227,7 @@ def test_matrix_csv_round_trip_bit_exact_real():
 def test_matrix_csv_round_trip_bit_exact_complex():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    back = csv_round_trip(A)
+    back = _csv_round_trip(A)
     assert back.dtype == np.complex128
     assert np.array_equal(back, A)
 

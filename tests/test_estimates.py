@@ -32,42 +32,14 @@ from ripless.estimates import (
     e3_tail,
     e4_tail,
     empirical_estimate,
-    matrix_bernstein_tail,
     noise_correlation_bound,
     rip_constant_exact,
     tail_value,
-    vector_bernstein_tail,
     weak_rip_empirical,
 )
 
 
 # --- closed-form bounds -------------------------------------------------------
-
-def test_matrix_bernstein_values():
-    assert matrix_bernstein_tail(10, 1.0, 1.0, 0.0) == 1.0
-    expected = 20.0 * math.exp(-50.0 / (1.0 + 10.0 / 3.0))
-    assert np.isclose(matrix_bernstein_tail(10, 1.0, 1.0, 10.0), expected, rtol=1e-12)
-    with pytest.raises(ValueError):
-        matrix_bernstein_tail(0, 1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        matrix_bernstein_tail(1, 1.0, 1.0, -1.0)
-
-
-def test_matrix_bernstein_monotone_grid():
-    ts = np.linspace(0.0, 30.0, 100)
-    vals = [matrix_bernstein_tail(5, 2.0, 3.0, t) for t in ts]
-    assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-    assert all(0.0 <= v <= 1.0 for v in vals)
-
-
-def test_vector_bernstein_values():
-    assert vector_bernstein_tail(1.0, 0.0) == 1.0  # e^{1/4} clamped
-    assert np.isclose(vector_bernstein_tail(1.0, 4.0), math.exp(-1.75), rtol=1e-12)
-    # no dimension argument anywhere: the bound is dimension-free
-    ts = np.linspace(0.0, 10.0, 100)
-    vals = [vector_bernstein_tail(2.0, t) for t in ts]
-    assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
-
 
 def q(which, m, s, n, mu, level):
     return TailBoundQuery(m=m, s=s, n=n, mu=mu, level=level, which=which)

@@ -9,18 +9,14 @@ import pytest
 from ripless.core import SupportSet
 from ripless.ensembles import EnsembleSpec
 from ripless.estimates import empirical_estimate
+from ripless import harness
 from ripless.harness import (
     ExperimentConfig,
     GridCell,
     config_hash,
     plant_signal,
     replay_trial,
-    run_certificate_rate,
-    run_ensemble_compare,
-    run_error_scaling,
-    run_estimate_sweep,
     run_experiment,
-    run_phase_transition,
     trial_rng,
 )
 
@@ -83,6 +79,16 @@ class TestConfig:
             phase_config((GridCell(32, 2, 8),))  # n mismatch with ensemble
         with pytest.raises(ValueError):
             phase_config(clean, lam=0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, 0.0, -5.0])
+    def test_beta_must_be_positive(self, beta):
+        # a bad beta would turn certificate_rate's rate_reference into 0.0
+        with pytest.raises(ValueError, match="beta"):
+            ExperimentConfig(kind="certificate_rate", ensemble=DFT64,
+                             grid=(GridCell(64, 2, 300),), trials=4, seed=9, beta=beta)
+        doc = phase_config((GridCell(64, 2, 30),)).to_doc()
+        with pytest.raises(ValueError, match="beta"):
+            ExperimentConfig.from_doc({**doc, "beta": beta})
 
     def test_which_is_normalized(self):
         cfg = ExperimentConfig(kind="estimate_sweep", ensemble=DFT64,
@@ -183,7 +189,7 @@ class TestSignals:
 class TestPhaseTransition:
     def test_zero_signal_and_invertible_cells(self):
         cfg = phase_config((GridCell(64, 0, 10), GridCell(64, 3, 64)), trials=8)
-        res = run_phase_transition(cfg)
+        res = run_experiment(cfg)
         assert res.records[0]["success_rate"] == 1.0
         assert res.records[1]["success_rate"] == 1.0
         assert res.records[0]["m_sufficient"] == 0
@@ -193,26 +199,21 @@ class TestPhaseTransition:
         hi = math.ceil(10 * 3 * math.log(64))
         cfg = phase_config((GridCell(64, 3, lo), GridCell(64, 3, hi)),
                            trials=20, seed=13)
-        res = run_phase_transition(cfg, threads=2)
+        res = run_experiment(cfg, threads=2)
         assert res.records[1]["success_rate"] > res.records[0]["success_rate"]
         assert res.records[1]["success_rate"] >= 0.9
 
     def test_threads_do_not_change_bytes(self):
         cfg = phase_config((GridCell(64, 3, 30), GridCell(64, 2, 20)),
                            trials=6, seed=21)
-        assert run_phase_transition(cfg, threads=1).csv_text() == \
-            run_phase_transition(cfg, threads=4).csv_text()
+        assert run_experiment(cfg, threads=1).csv_text() == \
+            run_experiment(cfg, threads=4).csv_text()
 
     def test_replay_matches_aggregate(self):
         cfg = phase_config((GridCell(64, 3, 25),), trials=10, seed=2)
-        res = run_phase_transition(cfg)
+        res = run_experiment(cfg)
         rate = sum(replay_trial(cfg, 0, t)["success"] for t in range(10)) / 10
         assert rate == res.records[0]["success_rate"]
-
-    def test_kind_mismatch(self):
-        cfg = phase_config((GridCell(64, 2, 20),))
-        with pytest.raises(ValueError):
-            run_error_scaling(cfg)
 
 
 class TestErrorScaling:
@@ -222,7 +223,7 @@ class TestErrorScaling:
         cfg = ExperimentConfig(kind="error_scaling", ensemble=GAUSS64,
                                grid=(GridCell(64, 3, 128, 1e-8),), trials=6,
                                seed=5, program="lasso")
-        res = run_error_scaling(cfg, threads=2)
+        res = run_experiment(cfg, threads=2)
         assert res.records[0]["l2_sq_median"] <= 1e-10
 
     def test_doubling_m_halves_squared_error(self):
@@ -233,7 +234,7 @@ class TestErrorScaling:
             kind="error_scaling", ensemble=spec,
             grid=(GridCell(n, s, 16 * unit, 0.5), GridCell(n, s, 32 * unit, 0.5)),
             trials=30, seed=20260817, program="lasso")
-        res = run_error_scaling(cfg, threads=4)
+        res = run_experiment(cfg, threads=4)
         ratio = res.records[0]["l2_sq_median"] / res.records[1]["l2_sq_median"]
         assert 2.0 / 1.5 <= ratio <= 2.0 * 1.5
         slope = res.metadata["slope_log_err2_vs_log_s_over_m"]
@@ -243,7 +244,7 @@ class TestErrorScaling:
         cfg = ExperimentConfig(kind="error_scaling", ensemble=GAUSS64,
                                grid=(GridCell(64, 3, 50, 0.5),), trials=5,
                                seed=8, program="dantzig")
-        rec = run_error_scaling(cfg).records[0]
+        rec = run_experiment(cfg).records[0]
         assert rec["l2_bound"] > 0.0 and rec["l1_bound"] >= rec["l2_bound"]
 
 
@@ -251,7 +252,7 @@ class TestCertificateRate:
     def test_s1_cell(self):
         cfg = ExperimentConfig(kind="certificate_rate", ensemble=DFT64,
                                grid=(GridCell(64, 1, 200),), trials=10, seed=3)
-        rec = run_certificate_rate(cfg, threads=2).records[0]
+        rec = run_experiment(cfg, threads=2).records[0]
         assert rec["success_rate"] >= 0.9
         assert rec["batches_used_median"] >= 2.0
         assert rec["rate_reference"] == pytest.approx(1 - 1 / 64 - math.exp(-1))
@@ -260,7 +261,7 @@ class TestCertificateRate:
         cfg = ExperimentConfig(kind="certificate_rate", ensemble=DFT64,
                                grid=(GridCell(64, 2, 110), GridCell(64, 2, 600)),
                                trials=15, seed=4)
-        res = run_certificate_rate(cfg, threads=2)
+        res = run_experiment(cfg, threads=2)
         assert res.records[1]["success_rate"] >= res.records[0]["success_rate"]
         assert res.records[1]["success_rate"] >= 0.9
 
@@ -270,7 +271,7 @@ class TestCertificateRate:
         cfg = ExperimentConfig(kind="certificate_rate", ensemble=spec,
                                grid=(GridCell(n, s, int(60 * s * math.log(n))),),
                                trials=30, seed=6)
-        rec = run_certificate_rate(cfg, threads=2).records[0]
+        rec = run_experiment(cfg, threads=2).records[0]
         assert rec["success_rate"] >= 0.9
         assert rec["sign_margin_median"] > 0.0
         assert rec["off_margin_median"] > 0.0
@@ -278,7 +279,7 @@ class TestCertificateRate:
     def test_replay_matches(self):
         cfg = ExperimentConfig(kind="certificate_rate", ensemble=DFT64,
                                grid=(GridCell(64, 2, 300),), trials=8, seed=9)
-        res = run_certificate_rate(cfg)
+        res = run_experiment(cfg)
         rate = sum(replay_trial(cfg, 0, t)["success"] for t in range(8)) / 8
         assert rate == res.records[0]["success_rate"]
 
@@ -288,7 +289,7 @@ class TestEstimateSweep:
         cfg = ExperimentConfig(kind="estimate_sweep", ensemble=DFT64,
                                grid=(GridCell(64, 3, 40),), trials=40, seed=11,
                                which="E1", level=0.5)
-        rec = run_estimate_sweep(cfg, threads=3).records[0]
+        rec = run_experiment(cfg, threads=3).records[0]
         rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0,)))
         idx = np.sort(rng.choice(64, 3, replace=False))
         report = empirical_estimate(
@@ -302,7 +303,7 @@ class TestEstimateSweep:
         cfg = ExperimentConfig(kind="estimate_sweep", ensemble=GAUSS64,
                                grid=(GridCell(64, 2, 25),), trials=30, seed=17,
                                which="E2", level=0.5)
-        rec = run_estimate_sweep(cfg).records[0]
+        rec = run_experiment(cfg).records[0]
         events = sum(replay_trial(cfg, 0, t)["event"] for t in range(30))
         assert events / 30 == rec["empirical_rate"]
         assert rec["passed"]
@@ -316,7 +317,7 @@ class TestEnsembleCompare:
             kind="ensemble_compare", ensemble=EnsembleSpec("gaussian", n),
             ensembles=(EnsembleSpec("subsampled_dft", n),),
             grid=(GridCell(n, s, m),), trials=20, seed=23)
-        res = run_ensemble_compare(cfg, threads=4)
+        res = run_experiment(cfg, threads=4)
         assert [rec["ensemble"] for rec in res.records] == ["gaussian", "subsampled_dft"]
         for rec in res.records:
             assert rec["success_rate"] >= 0.8
@@ -328,7 +329,7 @@ class TestEnsembleCompare:
         cfg = ExperimentConfig(
             kind="ensemble_compare", ensemble=GAUSS64, ensembles=(DFT64,),
             grid=(GridCell(64, 2, 20), GridCell(64, 2, 40)), trials=3, seed=2)
-        res = run_ensemble_compare(cfg)
+        res = run_experiment(cfg)
         assert [rec["cell"] for rec in res.records] == [0, 1, 2, 3]
         assert [rec["m"] for rec in res.records] == [20, 20, 40, 40]
 
@@ -365,3 +366,69 @@ class TestPersistence:
             replay_trial(cfg, 1, 0)
         with pytest.raises(ValueError):
             replay_trial(cfg, 0, 3)
+
+
+# one small config per kind, a few seconds in all
+TINY = {
+    "phase_transition": phase_config((GridCell(64, 0, 10), GridCell(64, 3, 25)),
+                                     trials=4, seed=2),
+    "error_scaling": ExperimentConfig(
+        kind="error_scaling", ensemble=GAUSS64,
+        grid=(GridCell(64, 3, 50, 0.5), GridCell(64, 2, 80, 0.5)), trials=4, seed=8,
+        program="lasso"),
+    "certificate_rate": ExperimentConfig(
+        kind="certificate_rate", ensemble=DFT64,
+        grid=(GridCell(64, 2, 300), GridCell(64, 1, 150)), trials=4, seed=9),
+    "estimate_sweep": ExperimentConfig(
+        kind="estimate_sweep", ensemble=GAUSS64,
+        grid=(GridCell(64, 2, 25), GridCell(64, 3, 60)), trials=15, seed=17,
+        which="E3", level=0.5),
+    "ensemble_compare": ExperimentConfig(
+        kind="ensemble_compare", ensemble=GAUSS64, ensembles=(DFT64,),
+        grid=(GridCell(64, 2, 20), GridCell(64, 2, 40)), trials=3, seed=2),
+}
+DANTZIG = ExperimentConfig(kind="error_scaling", ensemble=GAUSS64,
+                           grid=(GridCell(64, 3, 50, 0.5),), trials=3, seed=8,
+                           program="dantzig")
+
+
+def _cell_count(cfg):
+    ensembles = len(cfg.all_ensembles) if cfg.kind == "ensemble_compare" else 1
+    return len(cfg.grid) * ensembles
+
+
+@pytest.mark.parametrize("kind", list(TINY))
+def test_replays_recompute_every_aggregate(kind):
+    cfg = TINY[kind]
+    res = run_experiment(cfg, threads=1)
+    assert res.csv_text() == run_experiment(cfg, threads=3).csv_text()
+    assert len(res.records) == _cell_count(cfg)
+    for rec in res.records:
+        outs = [replay_trial(cfg, rec["cell"], t) for t in range(cfg.trials)]
+        if kind == "error_scaling":
+            assert float(np.median([o["l2_sq"] for o in outs])) == rec["l2_sq_median"]
+        elif kind == "estimate_sweep":
+            assert sum(o["event"] for o in outs) / cfg.trials == rec["empirical_rate"]
+        else:
+            assert sum(o["success"] for o in outs) / cfg.trials == rec["success_rate"]
+
+
+@pytest.mark.parametrize("cfg", [*TINY.values(), DANTZIG],
+                         ids=[*TINY, "error_scaling_dantzig"])
+def test_harness_finds_rebound_names_at_call_time(cfg, monkeypatch):
+    # a tracer rebinds these names in ripless.harness and must see every call
+    log = []
+    for name in ("trial_rng", "basis_pursuit", "lasso", "dantzig", "golfing_scheme",
+                 "empirical_estimate"):
+        def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            log.append((_name, args[1:]) if _name == "trial_rng" else (_name,))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    run_experiment(cfg)
+    if cfg.kind == "estimate_sweep":
+        assert log == [("empirical_estimate",)] * len(cfg.grid)
+        return
+    solver = {"error_scaling": cfg.program, "certificate_rate": "golfing_scheme"}.get(
+        cfg.kind, "basis_pursuit")
+    assert log == [call for cell in range(_cell_count(cfg)) for t in range(cfg.trials)
+                   for call in (("trial_rng", (cell, t)), (solver,))]
