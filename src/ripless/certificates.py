@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementMatrix, SupportSet
+from .core import MeasurementMatrix, SupportSet, matrix_rows
 from .ensembles import EnsembleSpec, sample_rows
 
 __all__ = [
@@ -398,7 +398,7 @@ class InexactDualityReport:
 
 def verify_inexact_duality(cert, A, T, x) -> InexactDualityReport:
     """Evaluate all four inexact duality conditions for cert (or a bare v)."""
-    A = np.asarray(A.rows if hasattr(A, "rows") else A)
+    A = matrix_rows(A)
     n = A.shape[1]
     t_idx = _support_indices(T, n)
     v = np.asarray(getattr(cert, "v", cert))
@@ -432,7 +432,7 @@ def least_squares_dual(A, T, x):
     and v = A* w, so v_T = sgn(x_T) holds by construction and only the
     off-support bound remains to check.
     """
-    A = np.asarray(A.rows if hasattr(A, "rows") else A)
+    A = matrix_rows(A)
     n = A.shape[1]
     t_idx = _support_indices(T, n)
     signs = _unit_signs(np.asarray(x)[t_idx], "x")

@@ -26,7 +26,8 @@ grid.json (for `estimate`)
       weakrip  s, r, m, delta, optional mode ("exhaustive"|"sampled"),
                optional budget (sampled mode draws, default 1000)
       noise    m, optional sigma (default 1)
-    Counts must be integers and levels numbers, as in a config document.
+    Counts must be integers and levels numbers, as in a config document;
+    any other key is an error.
 
 cfg.json (for `run`) is the experiment config document; see
 ExperimentConfig.to_doc / from_doc. `replay` reads the config.json
@@ -64,7 +65,9 @@ from .harness import (
 )
 from .solvers import basis_pursuit, dantzig, default_lambda, lasso
 
-ESTIMATE_CHOICES = ("e1", "e2", "e3", "e4", "weakrip", "noise")
+# the keys a grid cell of each kind may carry besides "ensemble" and "n"
+_CELL_KEYS = {**dict.fromkeys(("e1", "e2", "e3", "e4"), {"s", "m", "level"}),
+              "weakrip": {"s", "r", "m", "delta", "mode", "budget"}, "noise": {"m", "sigma"}}
 
 
 def _jsonable(value):
@@ -181,9 +184,14 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _estimate_cell_spec(cell: dict, i: int) -> EnsembleSpec:
+def _estimate_cell_spec(cell: dict, i: int, which: str) -> EnsembleSpec:
+    if not isinstance(cell, dict):
+        raise ValueError(f"grid cell {i} must be an object, got {cell!r}")
     if "ensemble" not in cell:
         raise ValueError(f"grid cell {i} has no 'ensemble'")
+    extra = set(cell) - _CELL_KEYS[which] - {"ensemble", "n"}
+    if extra:
+        raise ValueError(f"grid cell {i} has unknown keys for {which}: {sorted(extra)}")
     return _ensemble_from_arg(cell["ensemble"], cell.get("n"))
 
 
@@ -200,7 +208,7 @@ def cmd_estimate(args) -> int:
     which = args.which.lower()
     rows = []
     for i, cell in enumerate(cells):
-        spec = _estimate_cell_spec(cell, i)
+        spec = _estimate_cell_spec(cell, i, which)
         where = f"grid cell {i}"
         head = {"which": which, "family": spec.family, "n": spec.n}
         if which in ("e1", "e2", "e3", "e4"):
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("estimate", help="Monte Carlo validation of a bound over a grid")
-    p.add_argument("--which", required=True, type=str.lower, choices=ESTIMATE_CHOICES)
+    p.add_argument("--which", required=True, type=str.lower, choices=tuple(_CELL_KEYS))
     p.add_argument("--grid", required=True,
                    help="grid JSON (inline or path); see module docs for the schema")
     p.add_argument("--trials", type=_trial_count, default=200)

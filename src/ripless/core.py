@@ -189,9 +189,14 @@ def sign_pattern(x) -> np.ndarray:
     return np.sign(np.asarray(x, dtype=float))
 
 
+def matrix_rows(A) -> np.ndarray:
+    """The array of a MeasurementMatrix, or A itself as an array."""
+    return A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
+
+
 def max_column_norm(A) -> float:
     """Largest Euclidean column norm, written ||A||_{1,2}."""
-    A = A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
+    A = matrix_rows(A)
     if A.shape[1] == 0:
         return 0.0
     return float(np.sqrt(np.max(np.sum(np.abs(A) ** 2, axis=0))))
@@ -212,7 +217,7 @@ def realify(A, y=None):
     """
     wrap = isinstance(A, MeasurementMatrix)
     meta = (A.ensemble, A.seed) if wrap else (None, None)
-    M = A.rows if wrap else np.asarray(A)
+    M = matrix_rows(A)
     if np.iscomplexobj(M):
         Mr = np.vstack([M.real, M.imag])
     else:
@@ -296,8 +301,7 @@ def _deserialize(path_or_buf):
 
 def matrix_to_csv(A, path_or_buf) -> None:
     """Write a matrix (or MeasurementMatrix) as CSV with a shape header."""
-    M = A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
-    _serialize(M, path_or_buf)
+    _serialize(matrix_rows(A), path_or_buf)
 
 
 def matrix_from_csv(path_or_buf) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv
 
-from .core import SupportSet, max_column_norm
+from .core import SupportSet, matrix_rows, max_column_norm
 from .ensembles import EnsembleSpec, deterministic_coherence, sample_rows
 
 __all__ = [
@@ -357,7 +357,7 @@ def weak_rip_empirical(A, T, r: int, delta: float, mode: str = "exhaustive",
     delta holds on the checked family iff the returned deviation is
     <= delta. r = 0 reduces to the on-support deviation of E1.
     """
-    A = np.asarray(A.rows if hasattr(A, "rows") else A)
+    A = matrix_rows(A)
     n = A.shape[1]
     T = T if isinstance(T, SupportSet) else SupportSet(tuple(sorted(int(i) for i in T)), n)
     if T.n != n:
@@ -425,7 +425,7 @@ def rip_constant_exact(A, s: int) -> float:
     s x s blocks G[S, S] in bounded chunks of subsets. Only for tiny
     instances: refuses when (n choose s) exceeds 10^6.
     """
-    A = np.asarray(A.rows if hasattr(A, "rows") else A)
+    A = matrix_rows(A)
     n = A.shape[1]
     if not (1 <= s <= n):
         raise ValueError("need 1 <= s <= n")
@@ -490,7 +490,7 @@ def noise_correlation_bound(A, sigma: float = 1.0, n: int | None = None,
     T : SupportSet or index array, required with projection
         A_T must have full column rank.
     """
-    A = np.asarray(A.rows if hasattr(A, "rows") else A)
+    A = matrix_rows(A)
     if n is None:
         n = A.shape[1]
     if n < 2:

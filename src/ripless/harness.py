@@ -222,6 +222,8 @@ class ExperimentConfig:
             raise ValueError("lam must be positive when given")
         if not (self.beta > 0.0):
             raise ValueError(f"beta must be > 0, got {self.beta!r}")
+        if not (math.isfinite(self.signal_power) and self.signal_power > 0.0):
+            raise ValueError(f"signal_power must be finite and > 0, got {self.signal_power!r}")
         for spec in self.all_ensembles:
             for cell in grid:
                 if cell.n != spec.n:

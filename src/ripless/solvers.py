@@ -7,19 +7,14 @@ as the fallback when the Gram matrix cannot settle the rank. It returns
 the pseudoinverse solution outright when A has full column rank (it is
 then the only feasible point), and otherwise runs ADMM with an exact
 projection onto the affine feasible set, taking its dual point from the
-same factors. Every 10 ADMM iterations it polishes: it solves the support
-of the current iterate exactly and returns that point as soon as the
-ADMM's dual point, corrected onto the support, certifies it, so a run
-whose iterates creep towards a known support ends there instead of at
-the iteration cap. Residual balancing adjusts rho every 100 iterations.
+same factors. Residual balancing adjusts rho every 100 iterations.
 LASSO runs FISTA with gradient-based adaptive restart, its step from the
 top eigenvalue of the smaller Gram matrix. The Dantzig selector runs
 two-block ADMM against its box-constrained reformulation, factoring A
 once through the eigenpairs of A^T A, which give both the x-update and
-the least-squares point; every 20 iterations it polishes to the LP vertex
-that the iterate's support and active rows point to, and returns that
-vertex as soon as its dual point certifies it. Both noisy
-programs return x = 0 exactly, without iterating, when
+the least-squares point. Both LPs run one vertex polish, _vertex, every
+10 (basis pursuit) or 20 (Dantzig) iterations, and stop at its point once
+their certificate accepts it. Both noisy programs return x = 0 exactly, without iterating, when
 ||A^T y||_inf <= lam_sigma: zero then meets the LASSO subgradient
 conditions and is Dantzig-feasible with l1 norm 0. Every returned
 solution carries a computable optimality certificate: a scaled dual
@@ -28,8 +23,7 @@ LASSO. Solvers accept only real, finite systems; complex ensembles go
 through realify() first.
 
 The module also evaluates the theoretical error-bound shapes for the
-noisy programs and the tube diagnostic used when the true signal is
-known.
+noisy programs.
 """
 
 from __future__ import annotations
@@ -40,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .core import MeasurementMatrix, MeasurementVector, as_signal, best_s_approx
+from .core import MeasurementVector, as_signal, best_s_approx, matrix_rows
 
 __all__ = [
     "SolverResult",
@@ -67,7 +61,7 @@ def default_lambda(n: int) -> float:
 
 
 def _real_matrix(A) -> np.ndarray:
-    M = A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
+    M = matrix_rows(A)
     if np.iscomplexobj(M):
         raise ValueError("solvers take real systems; pass complex ensembles through realify()")
     if M.ndim != 2:
@@ -152,6 +146,34 @@ def _gram_factors(A):
     return lam[k:], V[:, k:]
 
 
+def _vertex(B, b, S, lam0):
+    """The LP vertex that a candidate support S and active rows B x = b
+    point to, with a dual point for it; None when S or B is empty.
+
+    Both LP polishes are this one step. A column-pivoted QR of
+    B_S = B[:, S] keeps a largest independent part of S: pivots whose
+    |diag(R)| is at or below _rank_cut(B) times the first are dropped, so
+    columns that repeat one another, or a support larger than the rank,
+    still give a vertex. On the kept part, x_S = R^-1 Q^T b solves
+    B_S x_S = b (in least squares when B has more rows than the kept
+    part), and lam0 moves the least distance onto
+    {lam : B_S^T lam = sign(x_S)}, by lam0 + Q R^-T (sign(x_S) - B_S^T lam0),
+    which closes the duality gap at x. The caller's own certificate
+    decides whether the pair is returned.
+    """
+    if S.size == 0 or B.shape[0] == 0:
+        return None
+    Q, R, P = linalg.qr(B[:, S], mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    k = int(np.count_nonzero(d > d[0] * _rank_cut(B)))
+    S, Q, R = S[P[:k]], Q[:, :k], R[:k, :k]
+    x_S = linalg.solve_triangular(R, Q.T @ b)
+    x = np.zeros(B.shape[1])
+    x[S] = x_S
+    lam = lam0 + Q @ linalg.solve_triangular(R, np.sign(x_S) - B[:, S].T @ lam0, trans="T")
+    return x, lam
+
+
 def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
                   max_iter: int = MAX_ITER, rho: float = 1.0) -> SolverResult:
     """Minimize ||x||_1 subject to A x = y.
@@ -174,16 +196,11 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
     where the gap is 0), rescaled into the dual ball, certifies x through
     the gap ||x||_1 - y . nu.
 
-    Every 10 iterations a support polish takes the support S of the
-    soft-thresholded iterate z; when 0 < |S| <= rank, it solves
-    A_S x_S = y by a column-pivoted QR of A_S, on a largest independent
-    part of S, and moves the ADMM's dual point the least distance onto
-    {nu : A_S^T nu = sign(x_S)}. That pair goes through the same
-    certificate, and the polished point is
-    returned, converged, only when its KKT residual is within tol_rel;
-    otherwise the ADMM carries on untouched. Residual balancing, which
-    doubles or halves rho when one residual exceeds the other tenfold,
-    runs every 100 iterations.
+    Every 10 iterations _vertex polishes A x = y on the support of the
+    soft-thresholded iterate z from the ADMM's dual point; its point is
+    returned once the same certificate passes it. Residual balancing,
+    which doubles or halves rho when one residual exceeds the other
+    tenfold, runs every 100 iterations.
 
     y must lie in the range of A; anything else raises.
     """
@@ -250,27 +267,6 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
         feas = float(np.linalg.norm(A @ x - y)) / (1.0 + float(np.linalg.norm(y)))
         return max(rel_gap, feas), obj
 
-    def polish(z, g):
-        # solve the support S of z exactly, and move the ADMM's dual point
-        # nu0 = pinv(A^T) g the least distance onto
-        # {nu : A_S^T nu = sign(x_S)}, where the gap to x_p closes;
-        # one QR of A_S = Q R gives both, the correction being Q R^-T d.
-        # Pivoting keeps a largest independent part of S, so columns that
-        # repeat one another (a non-unique optimum) do not stop the polish.
-        S = np.flatnonzero(z)
-        if not 0 < S.size <= rank:
-            return None
-        Q, R, P = linalg.qr(A[:, S], mode="economic", pivoting=True)
-        d = np.abs(np.diag(R))
-        k = int(np.count_nonzero(d > d[0] * _rank_cut(A)))
-        S, Q, R = S[P[:k]], Q[:, :k], R[:k, :k]
-        x_S = linalg.solve_triangular(R, Q.T @ y)
-        x_p = np.zeros(n)
-        x_p[S] = x_S
-        nu0 = dual(g)
-        nu = nu0 + Q @ linalg.solve_triangular(R, np.sign(x_S) - A[:, S].T @ nu0, trans="T")
-        return x_p, nu
-
     if rank == n:
         # full column rank: x_ls is the only feasible point, and
         # A^T pinv(A^T) sign(x_ls) = sign(x_ls) closes the gap
@@ -301,7 +297,7 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
         if it % 10 == 0:
             # support polish: once z has found the optimal support, its
             # exact solution is certified long before the iterates are
-            polished = polish(z, rho * u)
+            polished = _vertex(A, y, np.flatnonzero(z), dual(rho * u))
             if polished is not None:
                 kkt, obj = certify(*polished)
                 if kkt <= tol_rel:
@@ -415,12 +411,10 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
     kappa certifies optimality through the gap
     ||x||_1 + c . kappa + lam_sigma ||kappa||_1.
 
-    Every 20 iterations a vertex polish takes the support S of z1, the
-    rows I where z2 sits on the box and the side sigma_I of each. When
-    |S| = |I| it solves M[I,S] x_S = c_I + lam_sigma sigma_I and
-    M[S,I] kappa_I = -sign(x_S), and returns that vertex, converged, only
-    when the same certificate puts its KKT residual within tol_rel;
-    otherwise, or on a singular solve, the ADMM carries on untouched.
+    Every 20 iterations _vertex polishes on the support of z1 and the rows
+    I where z2 sits on the box, held as M[I] x = c_I + lam_sigma sigma_I
+    with sigma_I the side of each; kappa_I is minus its dual point, and
+    the vertex is returned once the same certificate passes it.
     """
     A = _real_matrix(A)
     m, n = A.shape
@@ -478,28 +472,6 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
         feas = max(0.0, float(np.max(np.abs(M @ x - c))) - gamma) / max(gamma, 1.0)
         return max(rel_gap, feas), obj
 
-    def vertex(z1, z2):
-        # the LP vertex guessed from the iterate: the support S of z1 and
-        # the rows I where z2 sits on the box, on side sigma_I. When
-        # |S| = |I|, the active rows hold with equality,
-        # M[I,S] x_S = c_I + gamma sigma_I, and kappa on I zeroes the
-        # subgradient on S, M[S,I] kappa_I = -sign(x_S), which closes the gap
-        S = np.flatnonzero(z1)
-        on_hi = z2 == hi
-        I = np.flatnonzero(on_hi | (z2 == lo))
-        if S.size == 0 or S.size != I.size:
-            return None
-        side = np.where(on_hi[I], 1.0, -1.0)
-        M_IS = M[np.ix_(I, S)]
-        try:
-            x_S = np.linalg.solve(M_IS, c[I] + gamma * side)
-            kappa_I = np.linalg.solve(M_IS.T, -np.sign(x_S))
-        except np.linalg.LinAlgError:
-            return None
-        x_p, kappa = np.zeros(n), np.zeros(n)
-        x_p[S], kappa[I] = x_S, kappa_I
-        return x_p, kappa
-
     x = x_ls.copy()
     z1, z2 = x.copy(), M @ x
     u1, u2 = np.zeros(n), np.zeros(n)
@@ -526,11 +498,16 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
         if it % 20 == 0:
             # vertex polish: once the iterate has found the active set, its
             # exact vertex is certified long before the iterates are
-            polished = vertex(z1, z2)
+            on_hi = z2 == hi
+            I = np.flatnonzero(on_hi | (z2 == lo))
+            side = np.where(on_hi[I], 1.0, -1.0)
+            polished = _vertex(M[I], c[I] + gamma * side, np.flatnonzero(z1), np.zeros(I.size))
             if polished is not None:
-                kkt, obj = certify(*polished)
+                x_p, lam = polished
+                kappa = np.zeros(n)
+                kappa[I] = -lam
+                kkt, obj = certify(x_p, kappa)
                 if kkt <= tol_rel:
-                    x_p = polished[0]
                     return SolverResult(x_p, it, kkt, _tube(A, x_p, y), obj, True)
         if it % 100 == 0:
             if r_primal > 10.0 * r_dual:

@@ -64,23 +64,24 @@ class TestSolve:
         assert second["objective"] != first["objective"]
 
     def test_tol_flag_loosens_stopping(self, tmp_path, capsys):
-        # the columns come in identical pairs and the ADMM splits the weight
-        # evenly between the two of a pair, so the iterate's support stays
-        # above the rank (20), no support polish can end the run, and the
-        # stopping tolerance alone decides when it stops
-        rng = np.random.default_rng(7)
-        B = rng.standard_normal((20, 32)) / math.sqrt(20)
-        A = np.hstack([B, B])
-        y = A @ np.concatenate([rng.standard_normal(32), np.zeros(32)])
+        # 8 Gaussian entries from 20 rows of 64 columns lie below the
+        # transition: the l1 minimiser is not the planted signal and the
+        # default tolerance takes a few hundred iterations; at --tol 1e-3 a
+        # point whose certificate is within 1e-3, but not within the
+        # default, ends the run sooner
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((20, 64)) / math.sqrt(20)
+        x = np.zeros(64)
+        x[rng.choice(64, 8, replace=False)] = rng.standard_normal(8)
         path = tmp_path / "problem.json"
-        path.write_text(json.dumps({"a": A.tolist(), "y": y.tolist()}))
+        path.write_text(json.dumps({"a": A.tolist(), "y": (A @ x).tolist()}))
         main(["solve", "--program", "bp", "--problem", str(path)])
         tight = json.loads(capsys.readouterr().out)
         main(["solve", "--program", "bp", "--problem", str(path), "--tol", "1e-3"])
         loose = json.loads(capsys.readouterr().out)
-        assert np.count_nonzero(tight["x_hat"]) > 20
         assert loose["iterations"] < tight["iterations"]
         assert loose["converged"] and tight["converged"]
+        assert tight["kkt_residual"] <= 1e-7 < loose["kkt_residual"] <= 1e-3
 
     def test_bad_inputs_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -179,8 +180,25 @@ class TestEstimate:
         assert "missing" in capsys.readouterr().err
         assert main(["estimate", "--which", "e1", "--grid", "[]",
                      "--trials", "5"]) == 1
+        capsys.readouterr()
+        assert main(["estimate", "--which", "noise", "--grid", "[5]",
+                     "--trials", "5"]) == 1
+        assert capsys.readouterr().err == "error: grid cell 0 must be an object, got 5\n"
         with pytest.raises(SystemExit):
             main(["estimate", "--which", "e9", "--grid", "[]"])
+
+    @pytest.mark.parametrize("which, cell, key", [
+        ("noise", {"m": 32, "sigam": 0.25}, "sigam"),
+        ("e1", {"s": 2, "m": 40, "level": 0.5, "delta": 0.5}, "delta"),
+        ("weakrip", {"s": 2, "r": 1, "m": 40, "delta": 0.5, "level": 0.5}, "level"),
+    ])
+    def test_unknown_cell_keys_are_rejected(self, capsys, which, cell, key):
+        # a misspelt optional key used to run with its default and exit 0
+        grid = json.dumps([{"ensemble": "subsampled_dft", "n": 32, **cell}])
+        assert main(["estimate", "--which", which, "--grid", grid, "--trials", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: grid cell 0 has unknown keys for {which}: ['{key}']\n"
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("which, cell, key", [
         ("e1", {"s": 2.7, "m": 40, "level": 0.5}, "s"),
@@ -255,6 +273,14 @@ class TestRunReplay:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -3.0])
+    def test_run_rejects_a_bad_signal_power(self, tmp_path, capsys, power):
+        cfg = self.config_file(tmp_path, signal="decay", signal_power=power)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: signal_power") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("missing", ["family", "n"])

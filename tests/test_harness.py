@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="beta"):
             ExperimentConfig.from_doc({**doc, "beta": beta})
 
+    @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -3.0])
+    def test_signal_power_must_be_finite_and_positive(self, power):
+        # a NaN power failed only inside basis_pursuit, and a negative one
+        # grew the "decay" magnitudes as i^3 without complaint
+        with pytest.raises(ValueError, match="signal_power"):
+            phase_config((GridCell(64, 2, 30),), signal="decay", signal_power=power)
+        doc = phase_config((GridCell(64, 2, 30),)).to_doc()
+        with pytest.raises(ValueError, match="signal_power"):
+            ExperimentConfig.from_doc({**doc, "signal": "decay", "signal_power": power})
+
     def test_which_is_normalized(self):
         cfg = ExperimentConfig(kind="estimate_sweep", ensemble=DFT64,
                                grid=(GridCell(64, 2, 30),), trials=5, seed=1,
