@@ -407,14 +407,15 @@ def verify_inexact_duality(cert, A, T, x) -> InexactDualityReport:
     x = np.asarray(x)
     signs = _unit_signs(x[t_idx], "x")
 
-    at = A[:, t_idx]
-    gram = at.conj().T @ at
-    eigs = np.linalg.eigvalsh(gram)
+    # one s x n product A_T* A holds the Gram matrix on T and the cross
+    # products; off-support columns are masked on it, never cut from A
+    cross = A[:, t_idx].conj().T @ A
+    eigs = np.linalg.eigvalsh(cross[:, t_idx])
     inverse_norm = float(1.0 / eigs[0]) if eigs[0] > 0.0 else float("inf")
     off_mask = np.ones(n, dtype=bool)
     off_mask[t_idx] = False
-    cross = at.conj().T @ A[:, off_mask]
-    cross_max = float(np.max(np.linalg.norm(cross, axis=0))) if cross.size else 0.0
+    col_norms = np.linalg.norm(cross, axis=0)[off_mask]
+    cross_max = float(np.max(col_norms)) if col_norms.size else 0.0
     sign_gap = float(np.linalg.norm(v[t_idx] - signs))
     off_peak = float(np.max(np.abs(v[off_mask]))) if np.any(off_mask) else 0.0
 

@@ -1,13 +1,14 @@
 """Recovery programs: basis pursuit, LASSO, Dantzig selector.
 
 All three are first-order methods with no external solver behind them:
-basis pursuit factors A once, through the eigenpairs of the smaller Gram
+basis pursuit factors A once, by a pivoted Cholesky of the smaller Gram
 matrix (A^T A for a tall A, A A^T for a wide one), with a thin SVD only
-as the fallback when the Gram matrix cannot settle the rank. It returns
-the pseudoinverse solution outright when A has full column rank (it is
-then the only feasible point), and otherwise runs ADMM with an exact
-projection onto the affine feasible set, taking its dual point from the
-same factors. Residual balancing adjusts rho every 100 iterations.
+as the fallback when a direction the factor drops does not meet the
+SVD's rank cut on A. It returns the pseudoinverse solution outright when
+A has full column rank (it is then the only feasible point), and
+otherwise runs ADMM with an exact projection onto the affine feasible
+set, taking its dual point from the same factor. Residual balancing
+adjusts rho every 100 iterations.
 LASSO runs FISTA with gradient-based adaptive restart, its step from the
 top eigenvalue of the smaller Gram matrix. The Dantzig selector runs
 two-block ADMM against its box-constrained reformulation, factoring A
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import lapack
 
 from .core import MeasurementVector, as_signal, best_s_approx, matrix_rows
 
@@ -124,26 +126,39 @@ def _rank_cut(A) -> float:
     return max(A.shape) * np.finfo(float).eps
 
 
-def _gram_factors(A):
-    """Eigenpairs (lam, V) of A^T A on the range of A^T, or None.
+def _pivoted_gram(B):
+    """LAPACK's pivoted Cholesky of B^T B as (K, L, N), or None.
 
-    Directions with lam >= 1e-6 lam_max are kept. The factors are accepted
-    only when every dropped eigenvector v also meets the SVD's own cut on A,
-    ||A v|| <= sigma_max * _rank_cut(A), so the rank is the one the SVD
-    would decide; a failed eigh, a zero matrix or an eigenvalue between the
-    two levels gives None.
+    dpstrf stops at the first pivot at or below _rank_cut(B) max(diag
+    B^T B), the rounding level of the Gram matrix itself; LAPACK's default
+    level, k eps / 2 for k columns, is lower for a tall B and there keeps
+    directions the SVD drops. The r pivots K it keeps give
+    B_K^T B_K = L L^T, L lower triangular; each column n_j of
+    N = P [-L^-T L21^T; I] is a dropped direction, B n_j being a dropped
+    column of B less its least-squares fit on B_K. The factor is accepted
+    only when every dropped direction meets the SVD's cut on B itself,
+    ||B n_j|| <= ||n_j|| ell _rank_cut(B), with ell <= sigma_max(B) the
+    largest column norm of [L; L21]. The rank is then the SVD's: a kept
+    pivot leaves a residual above sqrt(_rank_cut(B)) times the largest
+    column of B, far above the cut. A zero matrix or a dropped direction
+    above the cut gives None.
     """
-    try:
-        lam, V = np.linalg.eigh(A.T @ A)
-    except np.linalg.LinAlgError:
+    G = B.T @ B
+    F, piv, r, info = lapack.dpstrf(G, tol=_rank_cut(B) * G.diagonal().max(), lower=1)
+    if info < 0 or r == 0:
         return None
-    if not lam[-1] > 0.0:
-        return None
-    # eigenvalues come in ascending order, so the dropped ones are a prefix
-    k = int(np.count_nonzero(lam < 1e-6 * lam[-1]))
-    if k and np.max(np.linalg.norm(A @ V[:, :k], axis=0)) > math.sqrt(lam[-1]) * _rank_cut(A):
-        return None
-    return lam[k:], V[:, k:]
+    piv -= 1
+    # contiguous, so that dpotrs takes it without a copy on every solve
+    L = np.asfortranarray(F[:r, :r])
+    N = np.zeros((B.shape[1], B.shape[1] - r))
+    N[piv[:r]] = -linalg.solve_triangular(L, F[r:, :r].T, trans="T", lower=True,
+                                          check_finite=False)
+    N[piv[r:], np.arange(N.shape[1])] = 1.0
+    if N.size:
+        ell = float(np.max(np.linalg.norm(np.tril(F[:, :r]), axis=0)))
+        if np.any(np.linalg.norm(B @ N, axis=0) > ell * _rank_cut(B) * np.linalg.norm(N, axis=0)):
+            return None
+    return piv[:r], L, N
 
 
 def _vertex(B, b, S, lam0):
@@ -178,23 +193,25 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
                   max_iter: int = MAX_ITER, rho: float = 1.0) -> SolverResult:
     """Minimize ||x||_1 subject to A x = y.
 
-    One factorization of A, cut at rank eps * max(m, n) relative to its
-    largest singular value, gives pinv(A) for the in-range check and the
-    projection onto {A x = y}, and pinv(A^T) for the dual point. The
-    smaller Gram matrix is factored: a tall A (m >= n) through
-    A^T A = V diag(lam) V^T, so that pinv(A) r = V (V^T A^T r) / lam and
-    pinv(A^T) g = A V (V^T g) / lam, a wide one through
-    A A^T = U diag(lam) U^T, so that pinv(A) r = A^T U (U^T r) / lam and
-    pinv(A^T) g = U (U^T A g) / lam. The eigenpairs are used only when
-    every direction below 1e-6 lam_max is also below that rank cut
-    measured on A itself, so the rank is the SVD's; a failed eigh, or an
-    eigenvalue between the two levels, takes a thin SVD of A instead. At
-    full column rank the feasible set is the single point pinv(A) y, returned
+    One factorization of A, at the rank the SVD would give at eps *
+    max(m, n) relative to the largest singular value, gives pinv(A) y for
+    the in-range check, the projection onto {A x = y} and the dual point.
+    It is _pivoted_gram, LAPACK's pivoted Cholesky of the smaller Gram
+    matrix. A tall A (m >= n) factors A^T A: its pivots K are independent
+    columns of A, x_ls solves the normal equations on K less its part in
+    the null space, and that null space, spanned by the dropped
+    directions, gives the projection x_ls + Q Q^T (w - x_ls) with Q an
+    orthonormal basis of it. A wide one factors A A^T: its pivots K are
+    independent rows spanning the row space, so that pinv(A) r =
+    A_K^T (A_K A_K^T)^-1 r_K on the range of A. When a dropped direction
+    misses the SVD's cut on A itself, a thin SVD of A takes over. At full
+    column rank the feasible set is the single point pinv(A) y, returned
     with zero iterations. Otherwise ADMM runs with the x-update that exact
     projection, so every iterate is feasible to working precision. A dual
-    point nu = pinv(A^T) g (g = rho u, or sign(x) at full column rank,
-    where the gap is 0), rescaled into the dual ball, certifies x through
-    the gap ||x||_1 - y . nu.
+    point nu solving A^T nu = P g (P the projection onto the row space of
+    A; g = rho u, or sign(x) at full column rank, where the gap is 0),
+    rescaled into the dual ball, certifies x through the gap
+    ||x||_1 - y . nu; every such nu gives the same A^T nu and y . nu.
 
     Every 10 iterations _vertex polishes A x = y on the support of the
     soft-thresholded iterate z from the ADMM's dual point; its point is
@@ -208,29 +225,11 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
     m, n = A.shape
     y = _real_vector(y, m)
 
-    # pinv_apply(r) = pinv(A) r, and dual(g) = pinv(A^T) g, the min-norm
-    # solution of A^T nu = g at the rank cut
-    gram = _gram_factors(A if m >= n else A.T) if m and n else None
-    if gram is not None and m >= n:
-        lam, V = gram
-        rank = lam.size
-
-        def pinv_apply(r):
-            return V @ ((V.T @ (A.T @ r)) / lam)
-
-        def dual(g):
-            return A @ (V @ ((V.T @ g) / lam))
-    elif gram is not None:
-        # eigenpairs (lam, U) of A A^T: pinv(A) = A^T U diag(1/lam) U^T
-        lam, U = gram
-        rank = lam.size
-
-        def pinv_apply(r):
-            return A.T @ (U @ ((U.T @ r) / lam))
-
-        def dual(g):
-            return U @ ((U.T @ (A @ g)) / lam)
-    else:
+    # x_ls = pinv(A) y, project(w) the nearest point to w with A x = y, and
+    # dual(g) a solution nu of A^T nu = P g, P the orthogonal projection
+    # onto the row space of A, all at the rank cut
+    fact = _pivoted_gram(A if m >= n else A.T) if m and n else None
+    if fact is None:
         # The default divide-and-conquer driver reports nonconvergence on
         # some perfectly conditioned inputs (seen on realified partial-DFT
         # stacks); QR iteration is slower but immune.
@@ -245,16 +244,58 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
         def pinv_apply(r):
             return Vt.T @ ((U.T @ r) / svals)
 
+        x_ls = pinv_apply(y)
+
+        def project(w):
+            return w - pinv_apply(A @ w - y)
+
         def dual(g):
             return U @ ((Vt @ g) / svals)
+    else:
+        K, L, N = fact
+        rank = K.size
 
-    x_ls = pinv_apply(y)
+        def solve(v):
+            # (L L^T)^-1 v, with no finiteness scan
+            return lapack.dpotrs(L, v, lower=1)[0]
+
+        if m >= n:
+            # the columns K of A are independent, and Q is an orthonormal
+            # basis of the null space that N spans
+            Q = np.linalg.qr(N)[0]
+
+            def gram_solve(v):
+                # a solution of A^T A x = v for v in the row space of A
+                x = np.zeros(n)
+                x[K] = solve(v[K])
+                return x
+
+            x_ls = gram_solve(A.T @ y)
+            x_ls -= Q @ (Q.T @ x_ls)
+
+            def project(w):
+                return x_ls + Q @ (Q.T @ (w - x_ls))
+
+            def dual(g):
+                return A @ gram_solve(g - Q @ (Q.T @ g))
+        else:
+            # the rows K of A are independent and span its row space:
+            # pinv(A) r = A_K^T (A_K A_K^T)^-1 r_K on the range of A, and the
+            # dual point is supported on K
+            A_K, y_K = A[K], y[K]
+            x_ls = A_K.T @ solve(y_K)
+
+            def project(w):
+                return w - A_K.T @ solve(A_K @ w - y_K)
+
+            def dual(g):
+                nu = np.zeros(m)
+                nu[K] = solve(A_K @ g)
+                return nu
+
     infeas = float(np.linalg.norm(A @ x_ls - y))
     if infeas > tol_abs * 10 + tol_rel * (1.0 + float(np.linalg.norm(y))):
         raise ValueError(f"y is not in the range of A (distance {infeas:.3g})")
-
-    def project(w):
-        return w - pinv_apply(A @ w - y)
 
     def certify(x, nu):
         # nu pulled into the unit ball; the gap against y . nu bounds the

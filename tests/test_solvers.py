@@ -647,9 +647,10 @@ def test_bp_phase_transition_below_threshold_converges():
 # --- SVD driver robustness ----------------------------------------------------------
 
 def ill_conditioned(m, n, seed):
-    # singular values from 1 down to 1e-9: sigma_min lies between the Gram
-    # level (1e-3 sigma_max) and the SVD's rank cut, so the Gram factors are
-    # refused and the SVD decides the rank
+    # singular values from 1 down to 1e-9: sigma_min lies below what the
+    # pivoted Cholesky of the Gram matrix resolves (about sqrt(k eps)
+    # sigma_max) and above the SVD's rank cut, so the direction it drops
+    # fails that cut on A and the SVD decides the rank
     rng = np.random.default_rng(seed)
     Q1, _ = np.linalg.qr(rng.standard_normal((m, min(m, n))))
     Q2, _ = np.linalg.qr(rng.standard_normal((n, min(m, n))))
@@ -699,20 +700,34 @@ def count_factorizations(monkeypatch):
     return calls
 
 
+def count_bp_factorizations(monkeypatch):
+    # count_factorizations plus LAPACK's pivoted Cholesky, dpstrf
+    calls = count_factorizations(monkeypatch)
+    calls["pstrf"] = 0
+    real = scipy.linalg.lapack.dpstrf
+
+    def counting(*args, **kwargs):
+        calls["pstrf"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", counting)
+    return calls
+
+
 def test_basis_pursuit_factors_once(monkeypatch):
     # one factorization per call, for the full-rank exit and for the ADMM
-    # alike: the eigh of A A^T for a wide A, of A^T A for a tall one; the
-    # dual point comes from its factors, never from a second least squares
+    # alike: the pivoted Cholesky of A A^T for a wide A, of A^T A for a tall
+    # one, and no eigendecomposition; the dual point comes from its factor,
+    # never from a second least squares
     rng = np.random.default_rng(79)
     A_tall = rng.standard_normal((40, 16))
     systems = [planted(32, 3, 20, 78)[::2], (A_tall, A_tall @ rng.standard_normal(16))]
-    calls = count_factorizations(monkeypatch)
-    for (A, y), expected in zip(systems, ({"svd": 0, "eigh": 1, "eigvalsh": 0},
-                                          {"svd": 0, "eigh": 1, "eigvalsh": 0})):
-        calls.update(svd=0, eigh=0, eigvalsh=0)
+    calls = count_bp_factorizations(monkeypatch)
+    for A, y in systems:
+        calls.update(svd=0, eigh=0, eigvalsh=0, pstrf=0)
         res = basis_pursuit(A, y)
         assert res.converged
-        assert calls == expected
+        assert calls == {"svd": 0, "eigh": 0, "eigvalsh": 0, "pstrf": 1}
 
 
 def test_noisy_programs_factor_once(monkeypatch):
@@ -732,16 +747,16 @@ def test_noisy_programs_factor_once(monkeypatch):
 
 
 def test_bp_tall_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
-    # a duplicated column leaves a tall 40 x 16 system at rank 15: the Gram
-    # eigendecomposition decides that rank, with no SVD, and the ADMM on its
-    # factors reaches the LP optimum
+    # a duplicated column leaves a tall 40 x 16 system at rank 15: the
+    # pivoted Cholesky of A^T A decides that rank, with no SVD, and the ADMM
+    # projecting with its null-space basis reaches the LP optimum
     rng = np.random.default_rng(81)
     A = rng.standard_normal((40, 15))
     A = np.hstack([A, A[:, [4]]])
     y = A[:, 4] - 2.0 * A[:, 9]
-    calls = count_factorizations(monkeypatch)
+    calls = count_bp_factorizations(monkeypatch)
     res = basis_pursuit(A, y)
-    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
+    assert calls == {"svd": 0, "eigh": 0, "eigvalsh": 0, "pstrf": 1}
     assert res.iterations > 0 and res.converged
     _, obj_lp = l1_lp_oracle(A, y)
     assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
@@ -749,18 +764,18 @@ def test_bp_tall_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
 
 
 def test_bp_wide_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
-    # a duplicated row leaves a wide 12 x 30 system at rank 11: the
-    # eigendecomposition of A A^T decides that rank, with no SVD, and the
-    # ADMM on its factors reaches the LP optimum
+    # a duplicated row leaves a wide 12 x 30 system at rank 11: the pivoted
+    # Cholesky of A A^T decides that rank, with no SVD, and the ADMM on its
+    # 11 kept rows reaches the LP optimum
     rng = np.random.default_rng(86)
     A = rng.standard_normal((12, 30))
     A[11] = A[3]
     x = np.zeros(30)
     x[rng.choice(30, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
     y = A @ x
-    calls = count_factorizations(monkeypatch)
+    calls = count_bp_factorizations(monkeypatch)
     res = basis_pursuit(A, y)
-    assert calls == {"svd": 0, "eigh": 1, "eigvalsh": 0}
+    assert calls == {"svd": 0, "eigh": 0, "eigvalsh": 0, "pstrf": 1}
     assert res.iterations > 0 and res.converged
     _, obj_lp = l1_lp_oracle(A, y)
     assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp)
@@ -773,27 +788,82 @@ def test_bp_tall_ill_conditioned_falls_back_to_the_svd(monkeypatch):
     A, rng = ill_conditioned(40, 16, 83)
     x = rng.standard_normal(16)
     y = A @ x
-    calls = count_factorizations(monkeypatch)
+    calls = count_bp_factorizations(monkeypatch)
     res = basis_pursuit(A, y)
-    assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 0}
+    assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0, "pstrf": 1}
     assert res.iterations == 0 and res.converged
     x_ls = np.linalg.pinv(A, rcond=1e-14) @ y
     assert np.linalg.norm(res.x_hat - x_ls) <= 1e-5 * np.linalg.norm(x_ls)
 
 
 def test_bp_wide_ill_conditioned_falls_back_to_the_svd(monkeypatch):
-    # the wide system's Gram matrix A A^T is refused the same way; the ADMM
-    # on the SVD's factors recovers the planted signal (HiGHS is no oracle
-    # here: at this conditioning it reports points below the l1 optimum)
+    # the pivoted Cholesky of the wide system's A A^T is refused the same
+    # way; the ADMM on the SVD's factors recovers the planted signal (HiGHS
+    # is no oracle here: at this conditioning it reports points below the l1
+    # optimum)
     A, rng = ill_conditioned(16, 40, 83)
     x = np.zeros(40)
     x[rng.choice(40, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
     y = A @ x
-    calls = count_factorizations(monkeypatch)
+    calls = count_bp_factorizations(monkeypatch)
     res = basis_pursuit(A, y)
-    assert calls == {"svd": 1, "eigh": 1, "eigvalsh": 0}
+    assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0, "pstrf": 1}
     assert res.converged and res.kkt_residual <= REL_TOL
     assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
+
+
+def realified_dft(n, m, rng):
+    # m subsampled DFT rows, realified to 2m: f = 0 gives a zero imaginary
+    # row, a repeated frequency and its conjugate n - f give rows that
+    # repeat or negate others, and one conjugate pair is never drawn, so
+    # that even a tall stack is rank-deficient
+    skip = rng.integers(1, n // 2)
+    freqs = rng.choice([f for f in range(n) if f not in (skip, n - skip)], m)
+    freqs[0], freqs[2], freqs[3] = 0, n - freqs[1], freqs[1]
+    rows = np.exp((2j * np.pi / n) * np.outer(freqs, np.arange(n))) / math.sqrt(m)
+    return np.vstack([rows.real, rows.imag])
+
+
+def test_bp_rank_is_the_svds(monkeypatch):
+    # basis pursuit takes its rank from the pivoted Cholesky of the smaller
+    # Gram matrix; on wide, square, tall and 16-times-tall systems at n = 64
+    # it accepts that factor, its rank is the SVD's at _rank_cut, and the
+    # program reaches the LP optimum. On the tallest DFT stacks LAPACK's
+    # default stopping level kept a direction the SVD drops. The
+    # ill-conditioned inputs still go to the SVD
+    from ripless import solvers
+
+    factors = []
+    real = solvers._pivoted_gram
+
+    def recording(B):
+        factors.append(real(B))
+        return factors[-1]
+
+    monkeypatch.setattr(solvers, "_pivoted_gram", recording)
+    n, deficient = 64, 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for m in (32, 64, 128, 1024):
+            for A in (realified_dft(n, m // 2, rng), rng.standard_normal((m, n)),
+                      rng.choice([-1.0, 1.0], (m, n))):
+                x = np.zeros(n)
+                x[rng.choice(n, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
+                y = A @ x
+                res = basis_pursuit(A, y)
+                svals = np.linalg.svd(A, compute_uv=False)
+                rank = int(np.count_nonzero(svals > svals[0] * solvers._rank_cut(A)))
+                assert factors[-1] is not None, (seed, m)
+                assert factors[-1][0].size == rank, (seed, m)
+                deficient += rank < min(m, n)
+                assert res.converged, (seed, m)
+                _, obj_lp = l1_lp_oracle(A, y)
+                assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp), (seed, m)
+    assert deficient >= 24  # every DFT system
+    for shape in ((40, 16), (16, 40)):
+        A, _ = ill_conditioned(*shape, 83)
+        basis_pursuit(A, A @ np.ones(shape[1]))
+        assert factors[-1] is None
 
 
 def test_basis_pursuit_on_gesdd_hard_realified_stack():
