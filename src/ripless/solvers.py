@@ -4,11 +4,12 @@ All three are first-order methods with no external solver behind them:
 basis pursuit factors A once, by a pivoted Cholesky of the smaller Gram
 matrix (A^T A for a tall A, A A^T for a wide one), with a thin SVD only
 as the fallback when a direction the factor drops does not meet the
-SVD's rank cut on A. It returns the pseudoinverse solution outright when
-A has full column rank (it is then the only feasible point), and
-otherwise runs ADMM with an exact projection onto the affine feasible
-set, taking its dual point from the same factor. Residual balancing
-adjusts rho every 100 iterations.
+SVD's rank cut on A or its last kept pivot is below 1e-6 of its first.
+It returns the pseudoinverse solution outright when A has full column
+rank (it is then the only feasible point), and otherwise runs ADMM with
+an exact projection onto the affine feasible set, taking its dual point
+from the same factor. Residual balancing adjusts rho every 100
+iterations.
 LASSO runs FISTA with gradient-based adaptive restart, its step from the
 top eigenvalue of the smaller Gram matrix. The Dantzig selector runs
 two-block ADMM against its box-constrained reformulation, factoring A
@@ -138,14 +139,17 @@ def _pivoted_gram(B):
     column of B less its least-squares fit on B_K. The factor is accepted
     only when every dropped direction meets the SVD's cut on B itself,
     ||B n_j|| <= ||n_j|| ell _rank_cut(B), with ell <= sigma_max(B) the
-    largest column norm of [L; L21]. The rank is then the SVD's: a kept
-    pivot leaves a residual above sqrt(_rank_cut(B)) times the largest
-    column of B, far above the cut. A zero matrix or a dropped direction
-    above the cut gives None.
+    largest column norm of [L; L21], and when the last kept pivot is at
+    least 1e-6 of the first, L[r-1, r-1]^2 >= 1e-6 L[0, 0]^2. That ratio
+    bounds the condition number of B_K^T B_K from below, and pivoted
+    Cholesky keeps the two close except on contrived (Kahan-type)
+    matrices, so the kept block is solved to about 1e6 eps and its rank
+    is the SVD's. A zero matrix, a dropped direction above the cut or a
+    small last pivot gives None; B then goes to the SVD.
     """
     G = B.T @ B
     F, piv, r, info = lapack.dpstrf(G, tol=_rank_cut(B) * G.diagonal().max(), lower=1)
-    if info < 0 or r == 0:
+    if info < 0 or r == 0 or F[r - 1, r - 1] ** 2 < 1e-6 * F[0, 0] ** 2:
         return None
     piv -= 1
     # contiguous, so that dpotrs takes it without a copy on every solve
@@ -204,7 +208,8 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
     orthonormal basis of it. A wide one factors A A^T: its pivots K are
     independent rows spanning the row space, so that pinv(A) r =
     A_K^T (A_K A_K^T)^-1 r_K on the range of A. When a dropped direction
-    misses the SVD's cut on A itself, a thin SVD of A takes over. At full
+    misses the SVD's cut on A itself, or the kept block is badly
+    conditioned, a thin SVD of A takes over. At full
     column rank the feasible set is the single point pinv(A) y, returned
     with zero iterations. Otherwise ADMM runs with the x-update that exact
     projection, so every iterate is feasible to working precision. A dual
@@ -225,9 +230,9 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
     m, n = A.shape
     y = _real_vector(y, m)
 
-    # x_ls = pinv(A) y, project(w) the nearest point to w with A x = y, and
-    # dual(g) a solution nu of A^T nu = P g, P the orthogonal projection
-    # onto the row space of A, all at the rank cut
+    # pinv_apply(r) = pinv(A) r for r in the range of A, and dual(g) a
+    # solution nu of A^T nu = P g, P the orthogonal projection onto the row
+    # space of A, both at the rank cut
     fact = _pivoted_gram(A if m >= n else A.T) if m and n else None
     if fact is None:
         # The default divide-and-conquer driver reports nonconvergence on
@@ -243,11 +248,6 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
 
         def pinv_apply(r):
             return Vt.T @ ((U.T @ r) / svals)
-
-        x_ls = pinv_apply(y)
-
-        def project(w):
-            return w - pinv_apply(A @ w - y)
 
         def dual(g):
             return U @ ((Vt @ g) / svals)
@@ -270,11 +270,9 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
                 x[K] = solve(v[K])
                 return x
 
-            x_ls = gram_solve(A.T @ y)
-            x_ls -= Q @ (Q.T @ x_ls)
-
-            def project(w):
-                return x_ls + Q @ (Q.T @ (w - x_ls))
+            def pinv_apply(r):
+                x = gram_solve(A.T @ r)
+                return x - Q @ (Q.T @ x)
 
             def dual(g):
                 return A @ gram_solve(g - Q @ (Q.T @ g))
@@ -282,16 +280,24 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
             # the rows K of A are independent and span its row space:
             # pinv(A) r = A_K^T (A_K A_K^T)^-1 r_K on the range of A, and the
             # dual point is supported on K
-            A_K, y_K = A[K], y[K]
-            x_ls = A_K.T @ solve(y_K)
+            A_K = A[K]
 
-            def project(w):
-                return w - A_K.T @ solve(A_K @ w - y_K)
+            def pinv_apply(r):
+                return A_K.T @ solve(r[K])
 
             def dual(g):
                 nu = np.zeros(m)
                 nu[K] = solve(A_K @ g)
                 return nu
+
+    x_ls = pinv_apply(y)
+    if fact is not None and m >= n:
+        def project(w):
+            # x_ls plus the part of w in the null space: no product with A
+            return x_ls + Q @ (Q.T @ (w - x_ls))
+    else:
+        def project(w):
+            return w - pinv_apply(A @ w - y)
 
     infeas = float(np.linalg.norm(A @ x_ls - y))
     if infeas > tol_abs * 10 + tol_rel * (1.0 + float(np.linalg.norm(y))):

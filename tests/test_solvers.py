@@ -646,15 +646,17 @@ def test_bp_phase_transition_below_threshold_converges():
 
 # --- SVD driver robustness ----------------------------------------------------------
 
-def ill_conditioned(m, n, seed):
-    # singular values from 1 down to 1e-9: sigma_min lies below what the
-    # pivoted Cholesky of the Gram matrix resolves (about sqrt(k eps)
-    # sigma_max) and above the SVD's rank cut, so the direction it drops
-    # fails that cut on A and the SVD decides the rank
+def ill_conditioned(m, n, seed, low=-9):
+    # singular values from 1 down to 10^low, all above the SVD's rank cut.
+    # At 1e-9 sigma_min lies below what the pivoted Cholesky of the Gram
+    # matrix resolves (about sqrt(k eps) sigma_max), so a direction it
+    # drops fails that cut on A; at 1e-6 and 1e-4 it keeps every direction,
+    # but its last pivot falls below 1e-6 of its first. Either way the SVD
+    # decides the rank
     rng = np.random.default_rng(seed)
     Q1, _ = np.linalg.qr(rng.standard_normal((m, min(m, n))))
     Q2, _ = np.linalg.qr(rng.standard_normal((n, min(m, n))))
-    return (Q1 * np.logspace(0, -9, min(m, n))) @ Q2.T, rng
+    return (Q1 * np.logspace(0, low, min(m, n))) @ Q2.T, rng
 
 
 def test_basis_pursuit_falls_back_when_gesdd_balks(monkeypatch):
@@ -785,15 +787,17 @@ def test_bp_wide_rank_deficient_runs_the_admm_on_the_gram_factors(monkeypatch):
 def test_bp_tall_ill_conditioned_falls_back_to_the_svd(monkeypatch):
     # the SVD decides full column rank: the least-squares point, with no
     # iterations
-    A, rng = ill_conditioned(40, 16, 83)
-    x = rng.standard_normal(16)
-    y = A @ x
     calls = count_bp_factorizations(monkeypatch)
-    res = basis_pursuit(A, y)
-    assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0, "pstrf": 1}
-    assert res.iterations == 0 and res.converged
-    x_ls = np.linalg.pinv(A, rcond=1e-14) @ y
-    assert np.linalg.norm(res.x_hat - x_ls) <= 1e-5 * np.linalg.norm(x_ls)
+    for low in (-9, -6, -4):
+        A, rng = ill_conditioned(40, 16, 83, low)
+        x = rng.standard_normal(16)
+        y = A @ x
+        calls.update(svd=0, eigh=0, eigvalsh=0, pstrf=0)
+        res = basis_pursuit(A, y)
+        assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0, "pstrf": 1}, low
+        assert res.iterations == 0 and res.converged, low
+        x_ls = np.linalg.pinv(A, rcond=1e-14) @ y
+        assert np.linalg.norm(res.x_hat - x_ls) <= 1e-5 * np.linalg.norm(x_ls), low
 
 
 def test_bp_wide_ill_conditioned_falls_back_to_the_svd(monkeypatch):
@@ -801,15 +805,17 @@ def test_bp_wide_ill_conditioned_falls_back_to_the_svd(monkeypatch):
     # way; the ADMM on the SVD's factors recovers the planted signal (HiGHS
     # is no oracle here: at this conditioning it reports points below the l1
     # optimum)
-    A, rng = ill_conditioned(16, 40, 83)
-    x = np.zeros(40)
-    x[rng.choice(40, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
-    y = A @ x
     calls = count_bp_factorizations(monkeypatch)
-    res = basis_pursuit(A, y)
-    assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0, "pstrf": 1}
-    assert res.converged and res.kkt_residual <= REL_TOL
-    assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x)
+    for low in (-9, -6, -4):
+        A, rng = ill_conditioned(16, 40, 83, low)
+        x = np.zeros(40)
+        x[rng.choice(40, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
+        y = A @ x
+        calls.update(svd=0, eigh=0, eigvalsh=0, pstrf=0)
+        res = basis_pursuit(A, y)
+        assert calls == {"svd": 1, "eigh": 0, "eigvalsh": 0, "pstrf": 1}, low
+        assert res.converged and res.kkt_residual <= REL_TOL, low
+        assert np.linalg.norm(res.x_hat - x) <= 1e-6 * np.linalg.norm(x), low
 
 
 def realified_dft(n, m, rng):
@@ -861,9 +867,10 @@ def test_bp_rank_is_the_svds(monkeypatch):
                 assert abs(res.objective - obj_lp) <= 1e-7 * max(1.0, obj_lp), (seed, m)
     assert deficient >= 24  # every DFT system
     for shape in ((40, 16), (16, 40)):
-        A, _ = ill_conditioned(*shape, 83)
-        basis_pursuit(A, A @ np.ones(shape[1]))
-        assert factors[-1] is None
+        for low in (-9, -6, -4):
+            A, _ = ill_conditioned(*shape, 83, low)
+            basis_pursuit(A, A @ np.ones(shape[1]))
+            assert factors[-1] is None, (shape, low)
 
 
 def test_basis_pursuit_on_gesdd_hard_realified_stack():
