@@ -13,13 +13,11 @@ from importlib.metadata import PackageNotFoundError, version
 
 from .core import (
     MeasurementMatrix,
-    MeasurementVector,
     SupportSet,
     best_s_approx,
     matrix_from_csv,
     matrix_to_csv,
     realify,
-    sign_pattern,
     vector_from_csv,
     vector_to_csv,
 )
@@ -76,13 +74,11 @@ except PackageNotFoundError:
 
 __all__ = [
     "MeasurementMatrix",
-    "MeasurementVector",
     "SupportSet",
     "best_s_approx",
     "matrix_from_csv",
     "matrix_to_csv",
     "realify",
-    "sign_pattern",
     "vector_from_csv",
     "vector_to_csv",
     "EnsembleSpec",

@@ -130,25 +130,24 @@ class GolfingConfig:
         return int(sum(self.batch_sizes))
 
 
-def config_from_total(n: int, s: int, m_total: int,
-                      min_batch: int = MIN_BATCH_ROWS) -> GolfingConfig:
+def config_from_total(n: int, s: int, m_total: int) -> GolfingConfig:
     """Split a row budget into the default front-loaded schedule.
 
     Stage i receives a share proportional to prod_{j<i} c_j, the expected
-    residual norm entering that stage, with a floor of `min_batch` rows.
+    residual norm entering that stage, with a floor of MIN_BATCH_ROWS rows.
     The configured total never exceeds m_total.
     """
     if n < 3:
         raise ValueError("need n >= 3 so the contraction schedule is < 1/2")
     ell = default_batch_count(s)
-    if m_total < min_batch * ell:
+    if m_total < MIN_BATCH_ROWS * ell:
         raise ValueError(
-            f"m_total = {m_total} cannot hold {ell} batches of >= {min_batch} rows"
+            f"m_total = {m_total} cannot hold {ell} batches of >= {MIN_BATCH_ROWS} rows"
         )
     c = _contraction_schedule(n, ell)
     weights = np.cumprod((1.0,) + c[:-1])
     shares = weights / weights.sum()
-    sizes = [max(min_batch, int(m_total * share)) for share in shares]
+    sizes = [max(MIN_BATCH_ROWS, int(m_total * share)) for share in shares]
     while sum(sizes) > m_total:
         # flooring small stages up can overshoot; shave the largest stage
         sizes[int(np.argmax(sizes))] -= 1
@@ -162,21 +161,17 @@ def config_from_total(n: int, s: int, m_total: int,
     )
 
 
-def default_config(n: int, s: int, mu: float, prefactor: float = 2.0) -> GolfingConfig:
-    """Default schedule with a caller-scalable row budget.
+def default_config(n: int, s: int, mu: float) -> GolfingConfig:
+    """Default schedule with a row budget of floor(40 s mu log n).
 
-    The budget is floor(prefactor * 20 * s * mu * log n) rows, so the
-    default prefactor of 2 spends 40 s mu log n. This replaces the
-    full-scale analysis' per-batch constant (about 35 (1 + log 4 + beta)
-    with a union-bound sizing on top); at desk scale the acceptance tests
-    plus resampling supply the correctness the huge constants were buying.
+    This replaces the full-scale analysis' per-batch constant (about
+    35 (1 + log 4 + beta) with a union-bound sizing on top); at desk scale
+    the acceptance tests plus resampling supply the correctness the huge
+    constants were buying.
     """
     if mu < 1.0:
         raise ValueError("coherence mu is >= 1 for isotropic ensembles")
-    if prefactor <= 0.0:
-        raise ValueError("prefactor must be positive")
-    budget = int(prefactor * 20.0 * s * mu * math.log(n))
-    return config_from_total(n, s, budget)
+    return config_from_total(n, s, int(40.0 * s * mu * math.log(n)))
 
 
 @dataclass(frozen=True)
@@ -326,9 +321,7 @@ def golfing_scheme(spec: EnsembleSpec, T, sign_pattern, config: GolfingConfig,
 
     all_raw = np.vstack(raw_batches)
     m_total = all_raw.shape[0]
-    matrix = MeasurementMatrix(
-        np.conj(all_raw) / math.sqrt(m_total), ensemble=spec.family, seed=None
-    )
+    matrix = MeasurementMatrix(np.conj(all_raw) / math.sqrt(m_total))
     if v is None:
         v = np.zeros(n, dtype=all_raw.dtype)
     # v = A* w needs w_k = sqrt(m_total) <a_k,T, q_{i-1}> / m_i on accepted rows

@@ -42,21 +42,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .certificates import verify_inexact_duality
-from .core import SupportSet, matrix_from_csv, vector_from_csv
+from .core import SupportSet, doc_float, doc_int, matrix_from_csv, vector_from_csv
 from .ensembles import EnsembleSpec, build_matrix
 from .estimates import clopper_pearson, noise_correlation_bound, weak_rip_empirical
 from .harness import (
     ExperimentConfig,
     GridCell,
     config_hash,
-    doc_float,
-    doc_int,
     estimate_cell,
     format_csv,
     golfing_trial,
@@ -106,12 +105,13 @@ def _ensemble_from_arg(raw, n=None) -> EnsembleSpec:
             if n is None:
                 raise ValueError(
                     f"ensemble {raw!r} is a bare family name; pass --n (or an inline spec)")
-            doc = {"family": candidate, "n": int(n)}
-    if n is not None and "n" in doc and int(doc["n"]) != int(n):
-        raise ValueError(f"--n {n} disagrees with the ensemble's n={doc['n']}")
+            doc = {"family": candidate}
     if n is not None:
-        doc.setdefault("n", int(n))
-    return EnsembleSpec.from_json(json.dumps(doc))
+        doc.setdefault("n", n)
+    spec = EnsembleSpec.from_dict(doc)
+    if n is not None and spec.n != n:
+        raise ValueError(f"--n {n} disagrees with the ensemble's n={spec.n}")
+    return spec
 
 
 def _problem_arrays(doc: dict, base_dir: str):
@@ -128,9 +128,9 @@ def _problem_arrays(doc: dict, base_dir: str):
     y = load(doc["y"], vector_from_csv, "'y'")
     if A.ndim != 2 or y.ndim != 1 or y.shape[0] != A.shape[0]:
         raise ValueError(f"shape mismatch: a is {A.shape}, y is {y.shape}")
-    sigma_m = float(doc.get("sigma_m", 0.0))
-    if sigma_m < 0:
-        raise ValueError("sigma_m must be nonnegative")
+    sigma_m = doc_float(doc, "sigma_m", 0.0, "problem file")
+    if not (math.isfinite(sigma_m) and sigma_m >= 0.0):
+        raise ValueError(f"sigma_m must be finite and >= 0, got {sigma_m!r}")
     return A, y, sigma_m
 
 
@@ -192,7 +192,8 @@ def _estimate_cell_spec(cell: dict, i: int, which: str) -> EnsembleSpec:
     extra = set(cell) - _CELL_KEYS[which] - {"ensemble", "n"}
     if extra:
         raise ValueError(f"grid cell {i} has unknown keys for {which}: {sorted(extra)}")
-    return _ensemble_from_arg(cell["ensemble"], cell.get("n"))
+    n = doc_int(cell, "n", f"grid cell {i}") if "n" in cell else None
+    return _ensemble_from_arg(cell["ensemble"], n)
 
 
 def _report_columns(report) -> dict:
@@ -280,7 +281,7 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _trial_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     count = int(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=_trial_count, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
@@ -318,14 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, type=str.lower, choices=tuple(_CELL_KEYS))
     p.add_argument("--grid", required=True,
                    help="grid JSON (inline or path); see module docs for the schema")
-    p.add_argument("--trials", type=_trial_count, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("run", help="run an experiment config and persist results")
     p.add_argument("--config", required=True, help="path to the config JSON")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("replay", help="re-execute one recorded trial verbatim")

@@ -15,10 +15,10 @@ import numpy as np
 __all__ = [
     "SupportSet",
     "MeasurementMatrix",
-    "MeasurementVector",
     "as_signal",
+    "doc_int",
+    "doc_float",
     "best_s_approx",
-    "sign_pattern",
     "max_column_norm",
     "realify",
     "matrix_to_csv",
@@ -43,6 +43,34 @@ def as_signal(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("signal entries must be finite")
     return arr
+
+
+_REQUIRED = object()  # the default of a key that must be present
+
+
+def doc_int(doc: dict, key: str, where: str = "config", default=_REQUIRED) -> int:
+    """An integer key of a JSON document; a fractional, boolean or
+    non-numeric value is an error, never truncated."""
+    if key not in doc and default is _REQUIRED:
+        raise ValueError(f"{where} is missing required key '{key}'")
+    value = doc.get(key, default)
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{where} key '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def doc_float(doc: dict, key: str, default=_REQUIRED, where: str = "config"):
+    """A numeric key of a JSON document; null stands for "not given" only
+    where the default is None."""
+    if key not in doc and default is _REQUIRED:
+        raise ValueError(f"{where} is missing required key '{key}'")
+    value = doc.get(key, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} key '{key}' must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -80,32 +108,25 @@ class SupportSet:
         return np.array(self.indices, dtype=int)
 
     @staticmethod
-    def from_signal(x, n=None) -> "SupportSet":
+    def from_signal(x) -> "SupportSet":
         x = np.asarray(x)
-        return SupportSet(tuple(np.flatnonzero(x != 0)), n if n is not None else x.size)
+        return SupportSet(tuple(np.flatnonzero(x != 0)), x.size)
 
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
-    """Normalized sensing matrix with provenance.
+    """Normalized sensing matrix.
 
     Parameters
     ----------
     rows : (m, n) ndarray
         The normalized matrix A; row k is a_k*/sqrt(m) for the raw sampled
         sensing vector a_k. Real or complex.
-    ensemble : str or None
-        Family name of the generating ensemble, when known.
-    seed : int or None
-        Seed the rows were drawn with, when known. Together with `ensemble`
-        this is enough to re-draw the matrix.
 
     The array is frozen on construction; copy it to modify.
     """
 
     rows: np.ndarray
-    ensemble: str | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.rows)
@@ -135,28 +156,6 @@ class MeasurementMatrix:
         return np.conj(self.rows) * np.sqrt(self.m)
 
 
-@dataclass(frozen=True)
-class MeasurementVector:
-    """Measurement outcome y together with its per-measurement noise scale."""
-
-    values: np.ndarray
-    sigma_m: float = 0.0
-
-    def __post_init__(self):
-        arr = np.asarray(self.values)
-        if arr.ndim != 1:
-            raise ValueError("measurement vector must be 1-d")
-        arr = arr.astype(complex if np.iscomplexobj(arr) else float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        if not (self.sigma_m >= 0):
-            raise ValueError("sigma_m must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return self.values.size
-
-
 def best_s_approx(x, s: int) -> np.ndarray:
     """Best s-sparse approximation of x in every l_p norm.
 
@@ -184,11 +183,6 @@ def best_s_approx(x, s: int) -> np.ndarray:
     return out
 
 
-def sign_pattern(x) -> np.ndarray:
-    """Componentwise sign with sign_pattern(0) = 0."""
-    return np.sign(np.asarray(x, dtype=float))
-
-
 def matrix_rows(A) -> np.ndarray:
     """The array of a MeasurementMatrix, or A itself as an array."""
     return A.rows if isinstance(A, MeasurementMatrix) else np.asarray(A)
@@ -212,29 +206,24 @@ def realify(A, y=None):
     block omitted entirely (A returned unchanged).
 
     Returns the matrix alone when y is None, else the pair (A', y').
-    MeasurementMatrix input yields MeasurementMatrix output with the
-    provenance carried over.
+    MeasurementMatrix input yields MeasurementMatrix output.
     """
-    wrap = isinstance(A, MeasurementMatrix)
-    meta = (A.ensemble, A.seed) if wrap else (None, None)
     M = matrix_rows(A)
     if np.iscomplexobj(M):
         Mr = np.vstack([M.real, M.imag])
     else:
         Mr = np.array(M, dtype=float)
-    out_A = MeasurementMatrix(Mr, ensemble=meta[0], seed=meta[1]) if wrap else Mr
+    out_A = MeasurementMatrix(Mr) if isinstance(A, MeasurementMatrix) else Mr
     if y is None:
         return out_A
-    yv = y.values if isinstance(y, MeasurementVector) else np.asarray(y)
-    sig = y.sigma_m if isinstance(y, MeasurementVector) else None
+    yv = np.asarray(y)
     if np.iscomplexobj(yv):
         yr = np.concatenate([yv.real, yv.imag])
     else:
         yr = np.array(yv, dtype=float)
     if np.iscomplexobj(M) and yr.size != Mr.shape[0]:
         raise ValueError("y must be complex alongside complex A")
-    out_y = MeasurementVector(yr, sig) if sig is not None else yr
-    return out_A, out_y
+    return out_A, yr
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +299,7 @@ def matrix_from_csv(path_or_buf) -> np.ndarray:
 
 def vector_to_csv(v, path_or_buf) -> None:
     """Write a vector as a single-column CSV with a shape header."""
-    vv = v.values if isinstance(v, MeasurementVector) else np.asarray(v)
+    vv = np.asarray(v)
     if vv.ndim != 1:
         raise ValueError("expected a 1-d vector")
     _serialize(vv.reshape(-1, 1), path_or_buf)

@@ -16,19 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MeasurementMatrix
+from .core import MeasurementMatrix, doc_int
 
 __all__ = [
     "FAMILIES",
     "EnsembleSpec",
-    "gaussian",
-    "binary",
-    "subsampled_orthogonal",
-    "subsampled_dft",
-    "random_convolution",
     "random_convolution_pulse",
-    "coordinate_sampling",
-    "continuous_fourier",
     "sample_rows",
     "build_matrix",
     "deterministic_coherence",
@@ -135,9 +128,10 @@ class EnsembleSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "EnsembleSpec":
-        for key in ("family", "n"):
-            if key not in d:
-                raise ValueError(f"ensemble is missing required key '{key}'")
+        if "family" not in d:
+            raise ValueError("ensemble is missing required key 'family'")
+        n = doc_int(d, "n", "ensemble")
+        seed = None if d.get("seed") is None else doc_int(d, "seed", "ensemble")
         params = dict(d.get("params") or {})
         if "u_re" in params:
             params = {"u": np.array(params["u_re"]) + 1j * np.array(params["u_im"])}
@@ -145,41 +139,11 @@ class EnsembleSpec:
             params = {"u": np.array(params["u"])}
         elif "g" in params:
             params = {"g": np.array(params["g"])}
-        return EnsembleSpec(d["family"], int(d["n"]), d.get("seed"), params)
+        return EnsembleSpec(d["family"], n, seed, params)
 
     @staticmethod
     def from_json(text: str) -> "EnsembleSpec":
         return EnsembleSpec.from_dict(json.loads(text))
-
-
-def gaussian(n, seed=None):
-    return EnsembleSpec("gaussian", n, seed)
-
-
-def binary(n, seed=None):
-    return EnsembleSpec("binary", n, seed)
-
-
-def subsampled_orthogonal(u, seed=None):
-    u = np.asarray(u)
-    return EnsembleSpec("subsampled_orthogonal", u.shape[0], seed, {"u": u})
-
-
-def subsampled_dft(n, seed=None):
-    return EnsembleSpec("subsampled_dft", n, seed)
-
-
-def random_convolution(g, seed=None):
-    g = np.asarray(g, dtype=float)
-    return EnsembleSpec("random_convolution", g.size, seed, {"g": g})
-
-
-def coordinate_sampling(n, seed=None):
-    return EnsembleSpec("coordinate_sampling", n, seed)
-
-
-def continuous_fourier(n, seed=None):
-    return EnsembleSpec("continuous_fourier", n, seed)
 
 
 def random_convolution_pulse(n, rng) -> np.ndarray:
@@ -269,14 +233,12 @@ def build_matrix(spec: EnsembleSpec, m: int, rng=None) -> MeasurementMatrix:
     """Stack m fresh draws into the normalized matrix with rows a_k*/sqrt(m).
 
     `rng` may be an integer seed, a Generator, or None (falls back to
-    spec.seed). The seed is recorded in the result when it is knowable.
+    spec.seed).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    seed_known = rng if isinstance(rng, (int, np.integer)) else (spec.seed if rng is None else None)
     raw = sample_rows(spec, m, _as_generator(rng, spec.seed))
-    rows = np.conj(raw) / math.sqrt(m)
-    return MeasurementMatrix(rows, ensemble=spec.family, seed=seed_known)
+    return MeasurementMatrix(np.conj(raw) / math.sqrt(m))
 
 
 def deterministic_coherence(spec: EnsembleSpec) -> float:
@@ -314,12 +276,11 @@ def gaussian_row_tail(n: int):
     return f
 
 
-def stochastic_coherence(spec: EnsembleSpec, m: int, tail, lo: float = 1.0, hi: float = 1e6,
-                         rel_tol: float = 1e-6) -> float:
+def stochastic_coherence(spec: EnsembleSpec, m: int, tail) -> float:
     """Smallest mu making the truncated ensemble behave like a bounded one.
 
     Given a nonincreasing tail bound f(t) >= P(max_t |a(t)|^2 >= t), finds
-    the smallest mu in [lo, hi] (binary search to `rel_tol` relative) with
+    the smallest mu in [1, 1e6] (binary search to 1e-6 relative) with
 
         n mu f(mu) + n * int_mu^inf f(t) dt  <=  (1/20) n^(-1/2)
         f(mu) <= 1/(n m)
@@ -327,7 +288,7 @@ def stochastic_coherence(spec: EnsembleSpec, m: int, tail, lo: float = 1.0, hi: 
     The first display controls the second moment lost to truncation, the
     second the chance any of the m rows is truncated at all.
 
-    Raises ValueError when no mu <= hi satisfies both conditions.
+    Raises ValueError when no mu <= 1e6 satisfies both conditions.
     """
     from scipy import integrate  # imported here: import ripless need not load it
 
@@ -341,12 +302,12 @@ def stochastic_coherence(spec: EnsembleSpec, m: int, tail, lo: float = 1.0, hi: 
         tail_mass, _ = integrate.quad(tail, mu, np.inf, epsabs=1e-9, limit=200)
         return n * mu * fmu + n * tail_mass <= budget
 
-    if not ok(hi):
-        raise ValueError(f"no admissible coherence below {hi:g} for this tail")
-    if ok(lo):
-        return lo
-    a, b = lo, hi
-    while (b - a) > rel_tol * b:
+    a, b = 1.0, 1e6
+    if not ok(b):
+        raise ValueError(f"no admissible coherence below {b:g} for this tail")
+    if ok(a):
+        return a
+    while (b - a) > 1e-6 * b:
         mid = 0.5 * (a + b)
         if ok(mid):
             b = mid

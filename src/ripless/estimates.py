@@ -150,15 +150,16 @@ def tail_value(q: TailBoundQuery) -> float:
     return _TAILS[q.which](q)
 
 
-def clopper_pearson(failures: int, trials: int, confidence: float = 0.95):
-    """Exact binomial confidence interval (lower, upper) for a rate.
+def clopper_pearson(failures: int, trials: int):
+    """Exact 95% binomial confidence interval (lower, upper) for a rate.
 
     Chosen over the normal approximation because validator failure
     counts are frequently zero.
     """
     if not (0 <= failures <= trials) or trials < 1:
         raise ValueError("need 0 <= failures <= trials, trials >= 1")
-    alpha = 1.0 - confidence
+    # computed, not the literal 0.05, which is another float
+    alpha = 1.0 - 0.95
     # betaincinv(a, b, q) is the beta(a, b) quantile: the same values as
     # scipy.stats.beta.ppf, without the import cost of scipy.stats
     lo = 0.0 if failures == 0 else float(betaincinv(failures, trials - failures + 1, alpha / 2.0))
@@ -470,8 +471,8 @@ class NoiseCorrelationCheck:
         return EmpiricalReport.from_counts(failures, trials, 1.0 / (2.0 * self.n))
 
 
-def noise_correlation_bound(A, sigma: float = 1.0, n: int | None = None,
-                            with_projection: bool = False, T=None) -> NoiseCorrelationCheck:
+def noise_correlation_bound(A, sigma: float = 1.0, with_projection: bool = False,
+                            T=None) -> NoiseCorrelationCheck:
     """Threshold 2 sigma ||A||_{1,2} sqrt(log n) for noise correlations.
 
     With `with_projection`, the matrix is first multiplied by I - P where
@@ -483,16 +484,12 @@ def noise_correlation_bound(A, sigma: float = 1.0, n: int | None = None,
     A : (m, n) array or MeasurementMatrix
     sigma : float
         Noise scale per measurement.
-    n : int, optional
-        Dimension inside the logarithm; defaults to the column count.
-        Must be >= 2 for the bound to mean anything.
     with_projection : bool
     T : SupportSet or index array, required with projection
         A_T must have full column rank.
     """
     A = matrix_rows(A)
-    if n is None:
-        n = A.shape[1]
+    n = A.shape[1]
     if n < 2:
         raise ValueError("the bound needs n >= 2")
     if sigma < 0:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import config_from_total, default_batch_count, golfing_scheme
-from .core import SupportSet, realify
+from .core import SupportSet, doc_float, doc_int, realify
 from .ensembles import EnsembleSpec, build_matrix, deterministic_coherence
 from .estimates import empirical_estimate
 from .solvers import (
@@ -72,8 +72,6 @@ __all__ = [
     "run_experiment",
     "replay_trial",
     "format_csv",
-    "doc_int",
-    "doc_float",
 ]
 
 KINDS = (
@@ -114,8 +112,8 @@ class GridCell:
             raise ValueError("s must lie in [0, n]")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not (self.sigma >= 0.0):
-            raise ValueError("sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma!r}")
 
     def to_doc(self) -> dict:
         return {"n": self.n, "s": self.s, "m": self.m, "sigma": self.sigma}
@@ -130,34 +128,6 @@ class GridCell:
         return GridCell(doc_int(doc, "n", "grid cell"), doc_int(doc, "s", "grid cell"),
                         doc_int(doc, "m", "grid cell"),
                         doc_float(doc, "sigma", 0.0, "grid cell"))
-
-
-_REQUIRED = object()  # the default of a key that must be present
-
-
-def doc_int(doc: dict, key: str, where: str = "config", default=_REQUIRED) -> int:
-    """An integer key of a JSON document; a fractional, boolean or
-    non-numeric value is an error, never truncated."""
-    if key not in doc and default is _REQUIRED:
-        raise ValueError(f"{where} is missing required key '{key}'")
-    value = doc.get(key, default)
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{where} key '{key}' must be an integer, got {value!r}")
-    return int(value)
-
-
-def doc_float(doc: dict, key: str, default=_REQUIRED, where: str = "config"):
-    """A numeric key of a JSON document; null stands for "not given" only
-    where the default is None."""
-    if key not in doc and default is _REQUIRED:
-        raise ValueError(f"{where} is missing required key '{key}'")
-    value = doc.get(key, default)
-    if value is None and default is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where} key '{key}' must be a number, got {value!r}")
-    return float(value)
 
 
 _JSON_TYPES = {dict: "an object", list: "an array"}
@@ -218,10 +188,12 @@ class ExperimentConfig:
             raise ValueError("program must be bp, lasso, or dantzig")
         if self.signal not in SIGNAL_MODELS:
             raise ValueError(f"signal must be one of {SIGNAL_MODELS}")
-        if self.lam is not None and not (self.lam > 0.0):
-            raise ValueError("lam must be positive when given")
-        if not (self.beta > 0.0):
-            raise ValueError(f"beta must be > 0, got {self.beta!r}")
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError(f"lam must be finite and > 0 when given, got {self.lam!r}")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
+        if self.level is not None and not math.isfinite(self.level):
+            raise ValueError(f"level must be finite when given, got {self.level!r}")
         if not (math.isfinite(self.signal_power) and self.signal_power > 0.0):
             raise ValueError(f"signal_power must be finite and > 0, got {self.signal_power!r}")
         for spec in self.all_ensembles:
@@ -590,6 +562,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> "ExperimentRes
     guarantee 1 - 1/n - exp(-beta), and the median margins
     1/4 - ||v_T - sgn|| and 1/4 - ||v_off||_inf.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     _, cell_columns, columns = _KINDS[config.kind]
     records = []
     for index, cell, spec in _cells(config):

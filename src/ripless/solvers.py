@@ -37,7 +37,7 @@ import numpy as np
 from scipy import linalg
 from scipy.linalg import lapack
 
-from .core import MeasurementVector, as_signal, best_s_approx, matrix_rows
+from .core import as_signal, best_s_approx, matrix_rows
 
 __all__ = [
     "SolverResult",
@@ -76,7 +76,7 @@ def _real_matrix(A) -> np.ndarray:
 
 
 def _real_vector(y, m: int) -> np.ndarray:
-    v = y.values if isinstance(y, MeasurementVector) else np.asarray(y, dtype=float)
+    v = np.asarray(y)
     if np.iscomplexobj(v):
         raise ValueError("y must be real alongside a real A; realify() both together")
     v = np.asarray(v, dtype=float)
@@ -193,8 +193,7 @@ def _vertex(B, b, S, lam0):
     return x, lam
 
 
-def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
-                  max_iter: int = MAX_ITER, rho: float = 1.0) -> SolverResult:
+def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL) -> SolverResult:
     """Minimize ||x||_1 subject to A x = y.
 
     One factorization of A, at the rank the SVD would give at eps *
@@ -323,11 +322,12 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
     x = x_ls
     z = x.copy()
     u = np.zeros(n)
+    rho = 1.0
     scale = max(1.0, float(np.linalg.norm(y)))
     eps = tol_abs * math.sqrt(n) + tol_rel * scale
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         x = project(z - u)
         z_prev = z
         z = _soft(x + u, 1.0 / rho)
@@ -365,7 +365,7 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
 
 
 def lasso(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
-          max_iter: int = MAX_ITER, track_objective: bool = False) -> SolverResult:
+          track_objective: bool = False) -> SolverResult:
     """Minimize (1/2)||A x - y||_2^2 + lam_sigma ||x||_1.
 
     FISTA with step 1/L and gradient-based adaptive restart. L = ||A||^2
@@ -416,7 +416,7 @@ def lasso(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL
     history = [objective(x)] if track_objective else []
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         grad = normal(w) - Aty
         x_next = _soft(w - step * grad, step * gamma)
         # restart when the momentum direction opposes the gradient mapping
@@ -441,8 +441,8 @@ def lasso(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL
                         tuple(history))
 
 
-def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL,
-            max_iter: int = MAX_ITER, rho: float = 1.0) -> SolverResult:
+def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL,
+            tol_rel: float = REL_TOL) -> SolverResult:
     """Minimize ||x||_1 subject to ||A^T(A x - y)||_inf <= lam_sigma.
 
     Two-block ADMM on the splitting z1 = x (l1 term) and z2 = M x with
@@ -522,10 +522,11 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL, tol_rel: float = R
     x = x_ls.copy()
     z1, z2 = x.copy(), M @ x
     u1, u2 = np.zeros(n), np.zeros(n)
+    rho = 1.0
     eps = tol_abs * math.sqrt(2 * n) + tol_rel * max(1.0, float(np.linalg.norm(c)))
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         x = x_solve((z1 - u1) + M @ (z2 - u2))
         Mx = M @ x
         z1_prev, z2_prev = z1, z2
@@ -613,7 +614,7 @@ def alpha_factor(s: int, m: int, n: int, beta: float) -> float:
     return math.sqrt((1.0 + beta) * s * math.log(n) ** 5 / m)
 
 
-def _bound(inputs: ErrorBoundInputs, program: str, C: float, flavor: str) -> float:
+def _bound(inputs: ErrorBoundInputs, program: str, flavor: str) -> float:
     if program not in ("lasso", "dantzig"):
         raise ValueError("program must be 'lasso' or 'dantzig'")
     logn = math.log(inputs.n)
@@ -623,23 +624,24 @@ def _bound(inputs: ErrorBoundInputs, program: str, C: float, flavor: str) -> flo
         a = alpha_factor(k, inputs.m, inputs.n, inputs.beta)
         amp = 1.0 + (a * a if program == "dantzig" else a)
         if flavor == "l2":
-            val = C * amp * (miss / math.sqrt(k) + inputs.sigma * math.sqrt(k * logn / inputs.m))
+            val = amp * (miss / math.sqrt(k) + inputs.sigma * math.sqrt(k * logn / inputs.m))
         else:
-            val = C * amp * (miss + k * inputs.sigma * math.sqrt(logn / inputs.m))
+            val = amp * (miss + k * inputs.sigma * math.sqrt(logn / inputs.m))
         best = min(best, val)
     return best
 
 
-def l2_error_bound(inputs: ErrorBoundInputs, program: str, C: float = 1.0) -> float:
-    """min over k <= s of C (1 + alpha) [||x - x_k||_1 / sqrt k + sigma sqrt(k log n / m)].
+def l2_error_bound(inputs: ErrorBoundInputs, program: str) -> float:
+    """min over k <= s of (1 + alpha) [||x - x_k||_1 / sqrt k + sigma sqrt(k log n / m)].
 
-    Dantzig swaps (1 + alpha) for (1 + alpha^2). C defaults to 1: these
-    are shape references, not certified envelopes.
+    Dantzig swaps (1 + alpha) for (1 + alpha^2). The theory's unnamed
+    constant is taken as 1: these are shape references, not certified
+    envelopes.
     """
-    return _bound(inputs, program, C, "l2")
+    return _bound(inputs, program, "l2")
 
 
-def l1_error_bound(inputs: ErrorBoundInputs, program: str, C: float = 1.0) -> float:
-    """min over k <= s of C (1 + alpha) [||x - x_k||_1 + k sigma sqrt(log n / m)]."""
-    return _bound(inputs, program, C, "l1")
+def l1_error_bound(inputs: ErrorBoundInputs, program: str) -> float:
+    """min over k <= s of (1 + alpha) [||x - x_k||_1 + k sigma sqrt(log n / m)]."""
+    return _bound(inputs, program, "l1")
 

@@ -79,8 +79,6 @@ class TestSchedule:
         assert base.total_rows <= int(40 * 4 * math.log(256))
         doubled = default_config(256, 4, mu=2.0)
         assert doubled.total_rows > 1.9 * base.total_rows
-        half = default_config(256, 4, mu=1.0, prefactor=1.0)
-        assert half.total_rows <= base.total_rows // 2 + 1
 
     def test_trivial_s1_schedule(self):
         # two batches suffice: c1 c2 = 1/(4 sqrt(log n)) <= 1/4 once n >= 3
@@ -97,8 +95,6 @@ class TestSchedule:
             config_from_total(256, 4, 100)  # cannot hold 3 batches of 36
         with pytest.raises(ValueError):
             default_config(256, 4, mu=0.5)
-        with pytest.raises(ValueError):
-            default_config(256, 4, mu=1.0, prefactor=0.0)
         with pytest.raises(ValueError):
             GolfingConfig(2, (36,), (0.5, 0.5), (0.5, 0.5), 1)
         with pytest.raises(ValueError):

@@ -93,6 +93,18 @@ class TestSolve:
         assert main(["solve", "--program", "bp", "--problem",
                      str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("sigma_m", [math.inf, math.nan, True, "0.1"])
+    def test_sigma_m_must_be_a_finite_nonnegative_number(self, tmp_path, capsys, sigma_m):
+        # Infinity returned x_hat = 0 with "converged": true, and true read as 1.0
+        path, _ = write_problem(tmp_path, noise=0.01)
+        doc = json.loads(open(path).read())
+        with open(path, "w") as fh:
+            json.dump({**doc, "sigma_m": sigma_m}, fh)
+        assert main(["solve", "--program", "lasso", "--problem", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "sigma_m" in captured.err
+        assert captured.out == ""
+
 
 class TestCertify:
     def test_rows_match_harness_cell(self, capsys):
@@ -267,12 +279,24 @@ class TestRunReplay:
         ("grid", {"n": 64, "s": 3, "m": 30}),
         ("ensemble", "gaussian"),
         ("grid", [{"n": 64.7, "s": 3, "m": 30}]),
+        ("ensemble", {"family": "gaussian", "n": 64.7}),
     ])
     def test_run_rejects_malformed_config(self, tmp_path, capsys, key, value):
         cfg = self.config_file(tmp_path, **{key: value})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        # they used to run serially and exit 0
+        cfg = self.config_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("power", [math.nan, math.inf, 0.0, -3.0])

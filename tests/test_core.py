@@ -8,7 +8,6 @@ import pytest
 
 from ripless.core import (
     MeasurementMatrix,
-    MeasurementVector,
     SupportSet,
     as_signal,
     best_s_approx,
@@ -16,7 +15,6 @@ from ripless.core import (
     matrix_to_csv,
     max_column_norm,
     realify,
-    sign_pattern,
     vector_from_csv,
     vector_to_csv,
 )
@@ -68,20 +66,6 @@ def test_best_s_approx_l1_optimal_exhaustive(n, s):
         assert np.abs(x - u).sum() <= err_star + 1e-12
 
 
-# --- sign pattern ----------------------------------------------------------
-
-def test_sign_pattern_values():
-    assert np.array_equal(sign_pattern([3.0, 0.0, -2.0]), [1.0, 0.0, -1.0])
-
-
-def test_sign_pattern_idempotent():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(40)
-    x[::5] = 0.0
-    s = sign_pattern(x)
-    assert np.array_equal(sign_pattern(s), s)
-
-
 # --- norms ------------------------------------------------------------------
 
 def test_max_column_norm_identity():
@@ -127,14 +111,10 @@ def test_realify_real_passthrough():
 
 def test_realify_wraps_measurement_types():
     rng = np.random.default_rng(2)
-    M = MeasurementMatrix(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)),
-                          ensemble="subsampled_dft", seed=5)
-    y = MeasurementVector(M.rows @ np.ones(3), sigma_m=0.25)
-    Mr, yr = realify(M, y)
+    M = MeasurementMatrix(rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+    Mr, yr = realify(M, M.rows @ np.ones(3))
     assert isinstance(Mr, MeasurementMatrix) and Mr.field == "real"
-    assert Mr.ensemble == "subsampled_dft" and Mr.seed == 5
-    assert isinstance(yr, MeasurementVector) and yr.sigma_m == 0.25
-    assert yr.m == 8
+    assert yr.shape == (8,)
 
 
 # --- domain types -------------------------------------------------------------
@@ -198,13 +178,6 @@ def test_measurement_matrix_raw_rows_roundtrip():
     raw = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
     M = MeasurementMatrix(np.conj(raw) / np.sqrt(5))
     assert np.allclose(M.raw_rows(), raw, atol=1e-14)
-
-
-def test_measurement_vector_validation():
-    v = MeasurementVector(np.ones(3), sigma_m=0.5)
-    assert v.m == 3
-    with pytest.raises(ValueError):
-        MeasurementVector(np.ones(3), sigma_m=-1.0)
 
 
 # --- serialization -------------------------------------------------------------

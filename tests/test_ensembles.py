@@ -11,33 +11,28 @@ from ripless.ensembles import (
     _DFT_TABLE_MAX_N,
     FAMILIES,
     EnsembleSpec,
-    binary,
     build_matrix,
-    continuous_fourier,
-    coordinate_sampling,
     deterministic_coherence,
-    gaussian,
     gaussian_row_tail,
     isotropy_check,
-    random_convolution,
     random_convolution_pulse,
     sample_rows,
     stochastic_coherence,
-    subsampled_dft,
-    subsampled_orthogonal,
 )
 
 
 def all_specs(n, seed=0):
     rng = np.random.default_rng(seed)
     return {
-        "gaussian": gaussian(n, seed),
-        "binary": binary(n, seed),
-        "subsampled_orthogonal": subsampled_orthogonal(hadamard(n).astype(float), seed),
-        "subsampled_dft": subsampled_dft(n, seed),
-        "random_convolution": random_convolution(random_convolution_pulse(n, rng), seed),
-        "coordinate_sampling": coordinate_sampling(n, seed),
-        "continuous_fourier": continuous_fourier(n, seed),
+        "gaussian": EnsembleSpec("gaussian", n, seed),
+        "binary": EnsembleSpec("binary", n, seed),
+        "subsampled_orthogonal": EnsembleSpec("subsampled_orthogonal", n, seed,
+                                              {"u": hadamard(n).astype(float)}),
+        "subsampled_dft": EnsembleSpec("subsampled_dft", n, seed),
+        "random_convolution": EnsembleSpec("random_convolution", n, seed,
+                                           {"g": random_convolution_pulse(n, rng)}),
+        "coordinate_sampling": EnsembleSpec("coordinate_sampling", n, seed),
+        "continuous_fourier": EnsembleSpec("continuous_fourier", n, seed),
     }
 
 
@@ -58,9 +53,10 @@ def test_spec_rejects_bad_inputs():
     with pytest.raises(ValueError):
         EnsembleSpec("gaussian", 8, params={"u": np.eye(8)})
     with pytest.raises(ValueError):
-        subsampled_orthogonal(np.eye(4))  # U*U = I, not n I
+        EnsembleSpec("subsampled_orthogonal", 4, params={"u": np.eye(4)})  # U*U = I, not n I
     with pytest.raises(ValueError):
-        random_convolution(np.ones(4))  # fft magnitude is a spike, not flat
+        # fft magnitude is a spike, not flat
+        EnsembleSpec("random_convolution", 4, params={"g": np.ones(4)})
 
 
 def test_spec_json_round_trip_all_families():
@@ -76,7 +72,7 @@ def test_spec_json_round_trip_all_families():
 def test_spec_json_round_trip_complex_orthogonal():
     n = 4
     dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    spec = subsampled_orthogonal(dft, seed=9)
+    spec = EnsembleSpec("subsampled_orthogonal", n, 9, {"u": dft})
     back = EnsembleSpec.from_json(spec.to_json())
     assert back.is_complex
     assert np.allclose(back.params["u"], dft, atol=1e-15)
@@ -91,8 +87,9 @@ def test_spec_equality_and_hash_for_every_family():
         assert first[fam] == EnsembleSpec.from_json(first[fam].to_json())
     assert len(set(first.values()) | set(again.values())) == len(FAMILIES)
     g = first["random_convolution"].params["g"]
-    assert random_convolution(g) != random_convolution(-g)
-    assert gaussian(8) != "gaussian"
+    assert (EnsembleSpec("random_convolution", 8, params={"g": g})
+            != EnsembleSpec("random_convolution", 8, params={"g": -g}))
+    assert EnsembleSpec("gaussian", 8) != "gaussian"
 
 
 def test_is_complex_flags():
@@ -104,18 +101,18 @@ def test_is_complex_flags():
 # --- row sampling ------------------------------------------------------------
 
 def test_coordinate_row_is_scaled_basis_vector():
-    row = sample_rows(coordinate_sampling(4), 1, rng=1)[0]
+    row = sample_rows(EnsembleSpec("coordinate_sampling", 4), 1, rng=1)[0]
     nz = np.flatnonzero(row)
     assert nz.size == 1 and row[nz[0]] == 2.0  # sqrt(4)
 
 
 def test_binary_rows_are_signs():
-    rows = sample_rows(binary(12), 50, rng=2)
+    rows = sample_rows(EnsembleSpec("binary", 12), 50, rng=2)
     assert set(np.unique(rows)) == {-1.0, 1.0}
 
 
 def test_fourier_rows_unimodular_and_anchored():
-    for spec in (subsampled_dft(9, 0), continuous_fourier(9, 0)):
+    for spec in (EnsembleSpec("subsampled_dft", 9, 0), EnsembleSpec("continuous_fourier", 9, 0)):
         rows = sample_rows(spec, 40, rng=5)
         assert np.allclose(np.abs(rows), 1.0, atol=1e-12)
         assert np.allclose(rows[:, 0], 1.0, atol=1e-12)  # t = 0 column
@@ -123,7 +120,7 @@ def test_fourier_rows_unimodular_and_anchored():
 
 def test_dft_rows_are_harmonics():
     n = 8
-    rows = sample_rows(subsampled_dft(n), 30, rng=7)
+    rows = sample_rows(EnsembleSpec("subsampled_dft", n), 30, rng=7)
     # each row must be e^{2 pi i k t / n} for an integer frequency k
     freqs = np.angle(rows[:, 1]) * n / (2 * np.pi)
     assert np.allclose(freqs, np.round(freqs), atol=1e-9)
@@ -138,7 +135,7 @@ def test_dft_rows_equal_the_direct_formula_bit_for_bit(n):
     assert 1031 > _DFT_TABLE_MAX_N  # the last case runs the formula
     cols = np.array([0, n - 1, n // 2, 0, n // 3])
     for restrict in (None, cols):
-        rows = sample_rows(subsampled_dft(n), 50, np.random.default_rng(n), cols=restrict)
+        rows = sample_rows(EnsembleSpec("subsampled_dft", n), 50, np.random.default_rng(n), cols=restrict)
         freqs = np.random.default_rng(n).integers(0, n, size=50)
         direct = np.exp((2j * np.pi / n) * np.outer(freqs, np.arange(n) if restrict is None else cols))
         assert np.array_equal(rows, direct)
@@ -148,7 +145,7 @@ def test_dft_rows_equal_the_direct_formula_bit_for_bit(n):
 def test_convolution_rows_are_shifts_with_full_energy():
     n = 16
     g = random_convolution_pulse(n, np.random.default_rng(4))
-    rows = sample_rows(random_convolution(g), 100, rng=11)
+    rows = sample_rows(EnsembleSpec("random_convolution", n, params={"g": g}), 100, rng=11)
     assert np.allclose(np.sum(rows**2, axis=1), n, rtol=1e-8)
     # every row appears among the n circular shifts of the pulse
     shifts = np.stack([np.roll(g, s) for s in range(n)])
@@ -159,7 +156,7 @@ def test_convolution_rows_are_shifts_with_full_energy():
 def test_orthogonal_rows_come_from_u():
     n = 8
     u = hadamard(n).astype(float)
-    rows = sample_rows(subsampled_orthogonal(u), 60, rng=3)
+    rows = sample_rows(EnsembleSpec("subsampled_orthogonal", n, params={"u": u}), 60, rng=3)
     for r in rows:
         assert np.min(np.max(np.abs(u - r), axis=1)) < 1e-12
 
@@ -197,16 +194,15 @@ def test_restricted_draw_shape_for_dense_families(family):
 # --- matrix construction -------------------------------------------------------
 
 def test_build_matrix_normalization_and_provenance():
-    M = build_matrix(coordinate_sampling(4), 1, rng=0)
+    M = build_matrix(EnsembleSpec("coordinate_sampling", 4), 1, rng=0)
     assert M.rows.shape == (1, 4)
     assert sorted(np.abs(M.rows[0])) == [0.0, 0.0, 0.0, 2.0]
-    assert M.ensemble == "coordinate_sampling" and M.seed == 0
     with pytest.raises(ValueError):
-        build_matrix(coordinate_sampling(4), 0)
+        build_matrix(EnsembleSpec("coordinate_sampling", 4), 0)
 
 
 def test_build_matrix_conjugates_raw_rows():
-    spec = subsampled_dft(8, seed=2)
+    spec = EnsembleSpec("subsampled_dft", 8, seed=2)
     M = build_matrix(spec, 5, rng=2)
     raw = sample_rows(spec, 5, rng=2)
     assert np.allclose(M.rows, np.conj(raw) / np.sqrt(5), atol=1e-15)
@@ -214,10 +210,11 @@ def test_build_matrix_conjugates_raw_rows():
 
 
 def test_build_matrix_seed_provenance_rules():
-    spec = gaussian(8, seed=17)
-    assert build_matrix(spec, 3).seed == 17  # falls back to spec seed
-    assert build_matrix(spec, 3, rng=5).seed == 5
-    assert build_matrix(spec, 3, rng=np.random.default_rng(5)).seed is None
+    spec = EnsembleSpec("gaussian", 8, seed=17)
+    rows = build_matrix(spec, 3, rng=17).rows
+    assert np.array_equal(build_matrix(spec, 3).rows, rows)  # falls back to spec seed
+    assert np.array_equal(build_matrix(spec, 3, rng=np.random.default_rng(17)).rows, rows)
+    assert not np.array_equal(build_matrix(spec, 3, rng=5).rows, rows)
 
 
 def test_gaussian_gram_concentrates():
@@ -225,7 +222,7 @@ def test_gaussian_gram_concentrates():
     # matrix should be within 0.5 of the identity almost always
     hits = 0
     for seed in range(100):
-        A = build_matrix(gaussian(16), 400, rng=seed).rows
+        A = build_matrix(EnsembleSpec("gaussian", 16), 400, rng=seed).rows
         if np.linalg.norm(A.T @ A - np.eye(16), ord=2) <= 0.5:
             hits += 1
     assert hits >= 95
@@ -273,7 +270,7 @@ def test_stochastic_coherence_returns_deterministic_mu_for_trivial_tail():
     def trivial_tail(t):
         return 1.0 if t < 1.0 else 0.0
 
-    mu = stochastic_coherence(binary(64), 64, trivial_tail)
+    mu = stochastic_coherence(EnsembleSpec("binary", 64), 64, trivial_tail)
     assert mu == 1.0
 
 
@@ -299,7 +296,7 @@ def _tail_conditions_margin(n, m, tail):
 
 def test_stochastic_coherence_gaussian_64_frozen():
     n = m = 64
-    mu = stochastic_coherence(gaussian(n), m, gaussian_row_tail(n))
+    mu = stochastic_coherence(EnsembleSpec("gaussian", n), m, gaussian_row_tail(n))
     assert np.isclose(mu, 29.7926, rtol=1e-4)
     # independent root solve of the same admissibility margin
     margin = _tail_conditions_margin(n, m, gaussian_row_tail(n))
@@ -336,7 +333,7 @@ def test_stochastic_coherence_monotone_in_tail_weight():
 
 def test_stochastic_coherence_infeasible_tail_raises():
     with pytest.raises(ValueError):
-        stochastic_coherence(gaussian(16), 16, lambda t: 1.0, hi=1e3)
+        stochastic_coherence(EnsembleSpec("gaussian", 16), 16, lambda t: 1.0)
 
 
 # --- isotropy --------------------------------------------------------------------
@@ -349,7 +346,7 @@ def test_isotropy_deviation_small_at_50k(family):
 
 
 def test_isotropy_deviation_decays_with_sample_count():
-    spec = binary(8, seed=0)
+    spec = EnsembleSpec("binary", 8, seed=0)
     rng = np.random.default_rng(99)
     medians = []
     for num in (1_000, 10_000, 100_000):

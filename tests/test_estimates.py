@@ -8,16 +8,7 @@ import numpy as np
 import pytest
 
 from ripless.core import SupportSet
-from ripless.ensembles import (
-    binary,
-    continuous_fourier,
-    coordinate_sampling,
-    gaussian,
-    random_convolution,
-    random_convolution_pulse,
-    sample_rows,
-    subsampled_dft,
-)
+from ripless.ensembles import EnsembleSpec, random_convolution_pulse, sample_rows
 from ripless.estimates import (
     _CHUNK_ENTRIES,
     _event_occurs,
@@ -142,14 +133,13 @@ def test_clopper_pearson_matches_scipy_stats_beta_ppf_bit_for_bit():
 
     for trials in (*range(1, 41), 100, 500, 2000):
         for failures in range(0, trials + 1, max(1, trials // 40)):
-            for confidence in (0.9, 0.95):
-                alpha = 1.0 - confidence
-                lo, hi = clopper_pearson(failures, trials, confidence)
-                want_lo = 0.0 if failures == 0 else float(
-                    beta.ppf(alpha / 2.0, failures, trials - failures + 1))
-                want_hi = 1.0 if failures == trials else float(
-                    beta.ppf(1.0 - alpha / 2.0, failures + 1, trials - failures))
-                assert (lo, hi) == (want_lo, want_hi), (failures, trials, confidence)
+            alpha = 1.0 - 0.95
+            lo, hi = clopper_pearson(failures, trials)
+            want_lo = 0.0 if failures == 0 else float(
+                beta.ppf(alpha / 2.0, failures, trials - failures + 1))
+            want_hi = 1.0 if failures == trials else float(
+                beta.ppf(1.0 - alpha / 2.0, failures + 1, trials - failures))
+            assert (lo, hi) == (want_lo, want_hi), (failures, trials)
 
 
 def test_clopper_pearson_symmetry_and_coverage():
@@ -180,7 +170,7 @@ def test_empirical_report_fail_side():
 
 def test_empirical_estimate_e1_gaussian_within_ci():
     T = SupportSet(tuple(range(4)), 32)
-    rep = empirical_estimate("E1", gaussian(32), 512, T, 0.5, trials=500,
+    rep = empirical_estimate("E1", EnsembleSpec("gaussian", 32), 512, T, 0.5, trials=500,
                              rng=7, mu=6.0 * math.log(32))
     assert rep.trials == 500
     assert rep.passed
@@ -188,7 +178,7 @@ def test_empirical_estimate_e1_gaussian_within_ci():
 
 def test_empirical_estimate_e1_binary_tight_bound():
     T = SupportSet(tuple(range(4)), 32)
-    rep = empirical_estimate("E1", binary(32), 512, T, 0.5, trials=500, rng=11)
+    rep = empirical_estimate("E1", EnsembleSpec("binary", 32), 512, T, 0.5, trials=500, rng=11)
     assert rep.theoretical_bound < 1e-4
     assert rep.failures == 0
     assert rep.passed
@@ -208,7 +198,7 @@ def test_empirical_estimate_e1_coordinate_exact_enumeration():
             exact += (dev >= 2.0) / n**2
     assert exact == 2 / 16
     T = SupportSet((0, 1), n)
-    rep = empirical_estimate("E1", coordinate_sampling(n), m, T, 2.0, trials=3000, rng=5)
+    rep = empirical_estimate("E1", EnsembleSpec("coordinate_sampling", n), m, T, 2.0, trials=3000, rng=5)
     assert rep.ci_lower <= exact <= rep.ci_upper
 
 
@@ -219,7 +209,7 @@ def test_empirical_estimate_e3_coordinate_single_coordinate_is_null():
     n = 6
     v = np.zeros(n)
     v[2] = 1.0
-    rep = empirical_estimate("E3", coordinate_sampling(n), 3, v, 0.1, trials=200, rng=3)
+    rep = empirical_estimate("E3", EnsembleSpec("coordinate_sampling", n), 3, v, 0.1, trials=200, rng=3)
     assert rep.failures == 0
     assert rep.passed
 
@@ -227,7 +217,7 @@ def test_empirical_estimate_e3_coordinate_single_coordinate_is_null():
 def test_empirical_estimate_e2_smoke_degenerate():
     v = np.zeros(8)
     v[0] = 1.0
-    rep = empirical_estimate("E2", binary(8), 1, v, 0.5, trials=20, rng=1)
+    rep = empirical_estimate("E2", EnsembleSpec("binary", 8), 1, v, 0.5, trials=20, rng=1)
     assert rep.theoretical_bound == 1.0  # z < 1 regime
     assert rep.passed
 
@@ -245,7 +235,7 @@ def test_empirical_estimate_e2_measures_support_restriction():
     # the distortion statistic lives on T: for flat rows the unrestricted
     # norm carries off-support mass of mean square (n-1)/m ~ 0.24 here,
     # which would push the rate to ~0.37 against a bound of ~0.10
-    rep = empirical_estimate("E2", subsampled_dft(32), 130, unit_target(32, 2, 1),
+    rep = empirical_estimate("E2", EnsembleSpec("subsampled_dft", 32), 130, unit_target(32, 2, 1),
                              0.5, trials=800, rng=2)
     assert rep.theoretical_bound < 0.11
     assert rep.empirical_rate <= 0.02
@@ -253,7 +243,7 @@ def test_empirical_estimate_e2_measures_support_restriction():
 
 
 def test_empirical_estimate_e2_binary_nonzero_rate_below_bound():
-    rep = empirical_estimate("E2", binary(32), 130, unit_target(32, 2, 3),
+    rep = empirical_estimate("E2", EnsembleSpec("binary", 32), 130, unit_target(32, 2, 3),
                              0.18, trials=800, rng=4)
     assert 0.0 < rep.empirical_rate < rep.theoretical_bound
     assert rep.passed
@@ -261,26 +251,26 @@ def test_empirical_estimate_e2_binary_nonzero_rate_below_bound():
 
 def test_empirical_estimate_e2_gaussian_sufficiency_point():
     m = math.ceil((56.0 / 3.0) * 6.0 * math.log(32) * 2 * math.log(32))
-    rep = empirical_estimate("E2", gaussian(32), m, unit_target(32, 2, 5),
+    rep = empirical_estimate("E2", EnsembleSpec("gaussian", 32), m, unit_target(32, 2, 5),
                              0.5, trials=400, rng=6, mu=6.0 * math.log(32))
     assert rep.failures == 0 and rep.passed
 
 
 def test_empirical_estimate_e4_binary():
     T = SupportSet((0, 5), 16)
-    rep = empirical_estimate("E4", binary(16), 200, T, 0.9, trials=300, rng=13)
+    rep = empirical_estimate("E4", EnsembleSpec("binary", 16), 200, T, 0.9, trials=300, rng=13)
     assert rep.failures == 0 and rep.passed
 
 
 def test_empirical_estimate_dft_complex_path():
     T = SupportSet(tuple(range(3)), 16)
-    rep = empirical_estimate("E1", subsampled_dft(16), 300, T, 0.5, trials=200, rng=2)
+    rep = empirical_estimate("E1", EnsembleSpec("subsampled_dft", 16), 300, T, 0.5, trials=200, rng=2)
     assert rep.passed
 
 
 def test_empirical_estimate_threads_deterministic():
     T = SupportSet(tuple(range(3)), 16)
-    reps = [empirical_estimate("E1", binary(16), 60, T, 0.4, trials=120, rng=21,
+    reps = [empirical_estimate("E1", EnsembleSpec("binary", 16), 60, T, 0.4, trials=120, rng=21,
                                threads=k) for k in (1, 4)]
     assert reps[0].failures == reps[1].failures
 
@@ -288,19 +278,19 @@ def test_empirical_estimate_threads_deterministic():
 def test_empirical_estimate_validation():
     T = SupportSet((0,), 8)
     with pytest.raises(ValueError):
-        empirical_estimate("E5", binary(8), 4, T, 0.5, trials=5)
+        empirical_estimate("E5", EnsembleSpec("binary", 8), 4, T, 0.5, trials=5)
     with pytest.raises(ValueError):
-        empirical_estimate("E1", binary(8), 0, T, 0.5, trials=5)
+        empirical_estimate("E1", EnsembleSpec("binary", 8), 0, T, 0.5, trials=5)
     with pytest.raises(ValueError):
-        empirical_estimate("E1", binary(8), 4, T, 0.5, trials=0)
+        empirical_estimate("E1", EnsembleSpec("binary", 8), 4, T, 0.5, trials=0)
     with pytest.raises(ValueError):
-        empirical_estimate("E1", binary(8), 4, np.ones(8), 0.5, trials=5)  # needs SupportSet
+        empirical_estimate("E1", EnsembleSpec("binary", 8), 4, np.ones(8), 0.5, trials=5)  # needs SupportSet
     with pytest.raises(ValueError):
-        empirical_estimate("E2", binary(8), 4, T, 0.5, trials=5)  # needs a vector
+        empirical_estimate("E2", EnsembleSpec("binary", 8), 4, T, 0.5, trials=5)  # needs a vector
     with pytest.raises(ValueError):
-        empirical_estimate("E2", binary(8), 4, np.zeros(8), 0.5, trials=5)
+        empirical_estimate("E2", EnsembleSpec("binary", 8), 4, np.zeros(8), 0.5, trials=5)
     with pytest.raises(ValueError):
-        empirical_estimate("E1", gaussian(8), 4, T, 0.5, trials=5)  # mu mandatory
+        empirical_estimate("E1", EnsembleSpec("gaussian", 8), 4, T, 0.5, trials=5)  # mu mandatory
 
 
 # --- event statistics from the raw draw ----------------------------------------------
@@ -325,11 +315,12 @@ def dense_statistic(which, spec, m, support, v, rng):
 
 
 EVENT_SPECS = {
-    "gaussian": gaussian(32),
-    "binary": binary(32),
-    "random_convolution": random_convolution(random_convolution_pulse(32, np.random.default_rng(0))),
-    "subsampled_dft": subsampled_dft(32),
-    "continuous_fourier": continuous_fourier(32),
+    "gaussian": EnsembleSpec("gaussian", 32),
+    "binary": EnsembleSpec("binary", 32),
+    "random_convolution": EnsembleSpec("random_convolution", 32, params={
+        "g": random_convolution_pulse(32, np.random.default_rng(0))}),
+    "subsampled_dft": EnsembleSpec("subsampled_dft", 32),
+    "continuous_fourier": EnsembleSpec("continuous_fourier", 32),
 }
 
 
@@ -350,7 +341,7 @@ def test_event_occurs_when_the_statistic_ties_the_level():
     # coordinate sampling at n=32, m=160: when every support count c is 3 or
     # 7, |32 c / 160 - 1| = 0.4, so the E2 statistic equals 0.4 ||v|| in
     # exact arithmetic; rounding put these trials on either side of it
-    spec = coordinate_sampling(32)
+    spec = EnsembleSpec("coordinate_sampling", 32)
 
     def tie_trial(t):
         rng = np.random.default_rng([t, 160])
@@ -392,7 +383,7 @@ def test_event_statistic_allocates_about_one_draw():
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        _event_statistic("E4", gaussian(n), m, support, None, np.random.default_rng(5))
+        _event_statistic("E4", EnsembleSpec("gaussian", n), m, support, None, np.random.default_rng(5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -100,6 +100,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="signal_power"):
             ExperimentConfig.from_doc({**doc, "signal": "decay", "signal_power": power})
 
+    @pytest.mark.parametrize("key, value", [
+        ("beta", math.inf), ("lam", math.inf), ("level", math.inf), ("level", math.nan),
+        ("sigma", math.inf),
+    ])
+    def test_non_finite_numbers_are_refused_naming_the_key(self, key, value):
+        # "lam": Infinity gave x_hat = 0 on every LASSO trial and exited 0,
+        # and "sigma": Infinity failed only inside the solver
+        doc = ExperimentConfig(kind="error_scaling", ensemble=GAUSS64,
+                               grid=(GridCell(64, 2, 30, 0.5),), trials=2, seed=1,
+                               program="lasso").to_doc()
+        if key == "sigma":
+            doc["grid"] = [{**doc["grid"][0], "sigma": value}]
+        else:
+            doc[key] = value
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            ExperimentConfig.from_doc(doc)
+
     def test_which_is_normalized(self):
         cfg = ExperimentConfig(kind="estimate_sweep", ensemble=DFT64,
                                grid=(GridCell(64, 2, 30),), trials=5, seed=1,
@@ -150,6 +167,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="'which'"):
             ExperimentConfig.from_doc({**good, "kind": "estimate_sweep", "which": 1,
                                        "level": 0.5})
+        # an ensemble n of 64.7 or "64" used to truncate to the grid's 64
+        for bad in (64.7, "64", True):
+            with pytest.raises(ValueError, match="ensemble key 'n'"):
+                ExperimentConfig.from_doc({**good, "ensemble": {"family": "gaussian", "n": bad}})
+        with pytest.raises(ValueError, match="ensemble key 'seed'"):
+            ExperimentConfig.from_doc({**good, "ensemble": {"family": "gaussian", "n": 64,
+                                                             "seed": 1.5}})
         # integral floats are integers
         assert GridCell.from_doc({"n": 16.0, "s": 2, "m": 4}) == GridCell(16, 2, 4)
 
@@ -218,6 +242,12 @@ class TestPhaseTransition:
                            trials=6, seed=21)
         assert run_experiment(cfg, threads=1).csv_text() == \
             run_experiment(cfg, threads=4).csv_text()
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_threads_below_one_raise(self, threads):
+        # they used to run serially
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(phase_config((GridCell(64, 3, 30),), trials=2), threads=threads)
 
     def test_replay_matches_aggregate(self):
         cfg = phase_config((GridCell(64, 3, 25),), trials=10, seed=2)

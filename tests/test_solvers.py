@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linprog
 
-from ripless.ensembles import build_matrix, gaussian
+from ripless.ensembles import EnsembleSpec, build_matrix
 from ripless.solvers import (
     MAX_ITER,
     REL_TOL,
@@ -24,7 +24,7 @@ from ripless.solvers import (
 
 def planted(n, s, m, seed, sigma=0.0):
     rng = np.random.default_rng(seed)
-    A = build_matrix(gaussian(n), m, rng=seed).rows
+    A = build_matrix(EnsembleSpec("gaussian", n), m, rng=seed).rows
     x = np.zeros(n)
     idx = rng.choice(n, s, replace=False)
     x[idx] = rng.choice([-1.0, 1.0], s)
@@ -167,6 +167,8 @@ def test_bp_rejects_out_of_range_y():
 def test_bp_input_validation():
     with pytest.raises(ValueError):
         basis_pursuit(np.ones((2, 2)) * 1j, np.ones(2))
+    with pytest.raises(ValueError, match="realify"):
+        basis_pursuit(np.eye(2), np.ones(2) * 1j)
     with pytest.raises(ValueError):
         basis_pursuit(np.ones((2, 3)), np.ones(5))
 
@@ -318,21 +320,24 @@ def test_lasso_matches_the_svd_step_reference_on_tall_and_wide_systems():
             assert np.max(np.abs(res.x_hat - x_ref)) <= 1e-10 * max(1.0, np.max(np.abs(x_ref)))
 
 
-def test_lasso_step_is_one_over_the_top_singular_value_squared():
+def test_lasso_step_is_one_over_the_top_singular_value_squared(monkeypatch):
     # one iteration from x = 0 returns soft(step A^T y, step gamma), so the
     # step reads back from the coordinate where |A^T y| peaks; the last
     # matrix has equal top singular values
+    import ripless.solvers as solvers_module
+
     rng = np.random.default_rng(85)
     Q = np.linalg.qr(rng.standard_normal((70, 70)))[0]
     R = np.linalg.qr(rng.standard_normal((70, 70)))[0]
     vals = np.ones(70)
     vals[2:] = rng.random(68) * 0.5
+    monkeypatch.setattr(solvers_module, "MAX_ITER", 1)
     for A in (rng.standard_normal((40, 16)), rng.standard_normal((16, 40)), (Q * vals) @ R):
         y = rng.standard_normal(A.shape[0])
         Aty = A.T @ y
         j = int(np.argmax(np.abs(Aty)))
         gamma = 0.5 * abs(Aty[j])
-        res = lasso(A, y, gamma, max_iter=1)
+        res = lasso(A, y, gamma)
         step = abs(res.x_hat[j]) / (abs(Aty[j]) - gamma)
         sigma_max = np.linalg.svd(A, compute_uv=False)[0]
         assert abs(step * sigma_max**2 - 1.0) <= 1e-12
