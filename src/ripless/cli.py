@@ -92,9 +92,8 @@ def _load_doc(text: str):
 
 def _ensemble_from_arg(raw, n=None) -> EnsembleSpec:
     """EnsembleSpec from inline JSON, a file path, or a bare family name."""
-    if isinstance(raw, dict):
-        doc = dict(raw)
-    else:
+    doc = raw
+    if isinstance(raw, str):
         candidate = raw.strip()
         if candidate.startswith("{"):
             doc = json.loads(candidate)
@@ -106,8 +105,10 @@ def _ensemble_from_arg(raw, n=None) -> EnsembleSpec:
                 raise ValueError(
                     f"ensemble {raw!r} is a bare family name; pass --n (or an inline spec)")
             doc = {"family": candidate}
+    if not isinstance(doc, dict):
+        raise ValueError(f"ensemble must be a family name, a path or an object, got {doc!r}")
     if n is not None:
-        doc.setdefault("n", n)
+        doc = {"n": n, **doc}
     spec = EnsembleSpec.from_dict(doc)
     if n is not None and spec.n != n:
         raise ValueError(f"--n {n} disagrees with the ensemble's n={spec.n}")

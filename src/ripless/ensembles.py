@@ -132,7 +132,9 @@ class EnsembleSpec:
             raise ValueError("ensemble is missing required key 'family'")
         n = doc_int(d, "n", "ensemble")
         seed = None if d.get("seed") is None else doc_int(d, "seed", "ensemble")
-        params = dict(d.get("params") or {})
+        params = {} if d.get("params") is None else d["params"]
+        if not isinstance(params, dict):
+            raise ValueError(f"ensemble 'params' must be an object, got {params!r}")
         if "u_re" in params:
             params = {"u": np.array(params["u_re"]) + 1j * np.array(params["u_im"])}
         elif "u" in params:

@@ -20,8 +20,9 @@ the config.json sidecar, never in the CSV, to keep the CSV reproducible.
 Within a recovery trial the stream is consumed in a fixed order: signal
 first (support, then amplitudes), then the sensing matrix, then
 measurement noise. An estimate_sweep cell instead derives one generator
-from SeedSequence(seed, spawn_key=(cell,)), draws the target from it and
-spawns the trials' streams from what is left.
+from SeedSequence(seed, spawn_key=(cell,)) and draws the target from it;
+trial t's event draws from that generator's t-th spawned stream, which is
+trial_rng(seed, cell, t).
 
 Complex ensembles are realified for the recovery experiments: a cell's m
 counts ensemble draws, the solved real system has 2m rows, and the noise
@@ -446,9 +447,9 @@ def estimate_cell(which: str, spec: EnsembleSpec, cell: GridCell, level: float,
 def _event_trial(config, spec, cell, index, trial) -> dict:
     from .estimates import _event_occurs
 
-    rng, support, v = _estimate_draw(config.which, cell, config.seed, index)
+    _, support, v = _estimate_draw(config.which, cell, config.seed, index)
     event = _event_occurs(config.which, spec, cell.m, support, v, config.level,
-                          rng.spawn(config.trials)[trial])
+                          trial_rng(config.seed, index, trial))
     return {"which": config.which, "level": config.level, "event": bool(event),
             "support": list(support.indices)}
 
@@ -731,7 +732,7 @@ def replay_trial(config: ExperimentConfig, cell: int, trial: int) -> dict:
     `cell` is the value of the CSV's cell column (for ensemble_compare
     that is the flattened cell-ensemble index). Raises for out-of-range
     indices. estimate_sweep replays reproduce the trial's event indicator
-    by rebuilding the cell's spawned substreams.
+    from trial_rng(seed, cell, trial), the one substream it drew from.
     """
     if not (0 <= trial < config.trials):
         raise ValueError(f"trial must lie in [0, {config.trials})")

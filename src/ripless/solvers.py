@@ -1,22 +1,20 @@
 """Recovery programs: basis pursuit, LASSO, Dantzig selector.
 
-All three are first-order methods with no external solver behind them:
-basis pursuit factors A once, by a pivoted Cholesky of the smaller Gram
+All three are first-order methods with no external solver behind them.
+The two LPs run one ADMM loop, _admm: an exact projection onto an affine
+set, a separable prox, and a vertex polish (_vertex) every 10 (basis
+pursuit) or 20 (Dantzig) iterations. Basis pursuit projects onto
+{A x = y}, factoring A once by a pivoted Cholesky of the smaller Gram
 matrix (A^T A for a tall A, A A^T for a wide one), with a thin SVD only
 as the fallback when a direction the factor drops does not meet the
 SVD's rank cut on A or its last kept pivot is below 1e-6 of its first.
 It returns the pseudoinverse solution outright when A has full column
-rank (it is then the only feasible point), and otherwise runs ADMM with
-an exact projection onto the affine feasible set, taking its dual point
-from the same factor. Residual balancing adjusts rho every 100
-iterations.
-LASSO runs FISTA with gradient-based adaptive restart, its step from the
-top eigenvalue of the smaller Gram matrix. The Dantzig selector runs
-two-block ADMM against its box-constrained reformulation, factoring A
-once through the eigenpairs of A^T A, which give both the x-update and
-the least-squares point. Both LPs run one vertex polish, _vertex, every
-10 (basis pursuit) or 20 (Dantzig) iterations, and stop at its point once
-their certificate accepts it. Both noisy programs return x = 0 exactly, without iterating, when
+rank (it is then the only feasible point). The Dantzig selector runs on
+the graph {(x, t) : t = A^T A x}, its prox the l1 term on x and the box
+around A^T y on t, projecting through the eigenpairs of A^T A, which
+also give the least-squares point. LASSO runs FISTA with gradient-based
+adaptive restart, its step from the top eigenvalue of the smaller Gram
+matrix. Both noisy programs return x = 0 exactly, without iterating, when
 ||A^T y||_inf <= lam_sigma: zero then meets the LASSO subgradient
 conditions and is Dantzig-feasible with l1 norm 0. Every returned
 solution carries a computable optimality certificate: a scaled dual
@@ -193,6 +191,65 @@ def _vertex(B, b, S, lam0):
     return x, lam
 
 
+def _admm(project, prox, candidate, vertex, every, certify, z, scale, tol_abs, tol_rel):
+    """The ADMM loop both LPs run: graph projection splitting of
+    min f(z) subject to w = z, with w in the affine set that project()
+    maps onto and f separable, prox() its proximal map.
+
+    Each iteration takes w = project(z - u), the exact projection;
+    z = prox(w + u, 1 / rho), the prox of the separable term; and
+    u += w - z. The residuals are ||w - z|| (primal) and
+    rho ||z - z_prev|| (dual), against eps = tol_abs sqrt(len(w)) +
+    tol_rel scale. When both are at or below eps, candidate(w, rho u)
+    gives the iterate's (x, dual point) and certify(x, dual) its
+    (kkt, objective); the pair is returned once kkt <= tol_rel, and
+    otherwise eps shrinks fivefold, to no less than 1e-14. Every `every`
+    iterations vertex(z, rho u) gives a polished pair or None, returned
+    on the same rule. Every 100 iterations residual balancing doubles rho
+    (halving u) when the primal residual exceeds ten times the dual one,
+    or halves it in the opposite case; changing rho at every polish
+    instead stalls degenerate systems. At MAX_ITER the iterate's
+    candidate is returned unconverged. The result is
+    (x, iterations, kkt, objective, converged).
+    """
+    u = np.zeros(z.size)
+    rho = 1.0
+    eps = tol_abs * math.sqrt(z.size) + tol_rel * scale
+    w, it = z, 0
+    for it in range(1, MAX_ITER + 1):
+        w = project(z - u)
+        z_prev = z
+        z = prox(w + u, 1.0 / rho)
+        u = u + w - z
+        r_primal = float(np.linalg.norm(w - z))
+        r_dual = float(rho * np.linalg.norm(z - z_prev))
+        if r_primal <= eps and r_dual <= eps:
+            x, lam = candidate(w, rho * u)
+            kkt, obj = certify(x, lam)
+            if kkt <= tol_rel:
+                return x, it, kkt, obj, True
+            # certificate not yet tight: demand smaller residuals
+            eps = max(eps * 0.2, 1e-14)
+        if it % every == 0:
+            # once z has found the optimal support (and active rows), its
+            # exact vertex is certified long before the iterates are
+            polished = vertex(z, rho * u)
+            if polished is not None:
+                kkt, obj = certify(*polished)
+                if kkt <= tol_rel:
+                    return polished[0], it, kkt, obj, True
+        if it % 100 == 0:
+            if r_primal > 10.0 * r_dual:
+                rho *= 2.0
+                u /= 2.0
+            elif r_dual > 10.0 * r_primal:
+                rho /= 2.0
+                u *= 2.0
+    x, lam = candidate(w, rho * u)
+    kkt, obj = certify(x, lam)
+    return x, it, kkt, obj, False
+
+
 def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL) -> SolverResult:
     """Minimize ||x||_1 subject to A x = y.
 
@@ -210,18 +267,13 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL) -> S
     misses the SVD's cut on A itself, or the kept block is badly
     conditioned, a thin SVD of A takes over. At full
     column rank the feasible set is the single point pinv(A) y, returned
-    with zero iterations. Otherwise ADMM runs with the x-update that exact
-    projection, so every iterate is feasible to working precision. A dual
-    point nu solving A^T nu = P g (P the projection onto the row space of
-    A; g = rho u, or sign(x) at full column rank, where the gap is 0),
-    rescaled into the dual ball, certifies x through the gap
-    ||x||_1 - y . nu; every such nu gives the same A^T nu and y . nu.
-
-    Every 10 iterations _vertex polishes A x = y on the support of the
-    soft-thresholded iterate z from the ADMM's dual point; its point is
-    returned once the same certificate passes it. Residual balancing,
-    which doubles or halves rho when one residual exceeds the other
-    tenfold, runs every 100 iterations.
+    with zero iterations. Otherwise _admm runs with that exact projection
+    and soft thresholding, so every iterate is feasible to working
+    precision, and every 10 iterations _vertex polishes A x = y on the
+    support of z. A dual point nu solving A^T nu = P g (P the projection
+    onto the row space of A; g = rho u, or sign(x) at full column rank,
+    where the gap is 0), rescaled into the dual ball, certifies x through
+    the gap ||x||_1 - y . nu; every such nu gives the same A^T nu and y . nu.
 
     y must lie in the range of A; anything else raises.
     """
@@ -319,48 +371,10 @@ def basis_pursuit(A, y, tol_abs: float = ABS_TOL, tol_rel: float = REL_TOL) -> S
         kkt, obj = certify(x_ls, dual(np.sign(x_ls)))
         return SolverResult(x_ls, 0, kkt, _tube(A, x_ls, y), obj, kkt <= tol_rel)
 
-    x = x_ls
-    z = x.copy()
-    u = np.zeros(n)
-    rho = 1.0
-    scale = max(1.0, float(np.linalg.norm(y)))
-    eps = tol_abs * math.sqrt(n) + tol_rel * scale
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        x = project(z - u)
-        z_prev = z
-        z = _soft(x + u, 1.0 / rho)
-        u = u + x - z
-        r_primal = float(np.linalg.norm(x - z))
-        r_dual = float(rho * np.linalg.norm(z - z_prev))
-        if r_primal <= eps and r_dual <= eps:
-            kkt, _ = certify(x, dual(rho * u))
-            if kkt <= tol_rel:
-                converged = True
-                break
-            # certificate not yet tight: demand smaller residuals
-            eps = max(eps * 0.2, 1e-14)
-        if it % 10 == 0:
-            # support polish: once z has found the optimal support, its
-            # exact solution is certified long before the iterates are
-            polished = _vertex(A, y, np.flatnonzero(z), dual(rho * u))
-            if polished is not None:
-                kkt, obj = certify(*polished)
-                if kkt <= tol_rel:
-                    x_p = polished[0]
-                    return SolverResult(x_p, it, kkt, _tube(A, x_p, y), obj, True)
-        if it % 100 == 0:
-            # residual balancing keeps the two residuals comparable; changing
-            # rho at every polish instead stalls degenerate systems
-            if r_primal > 10.0 * r_dual:
-                rho *= 2.0
-                u /= 2.0
-            elif r_dual > 10.0 * r_primal:
-                rho /= 2.0
-                u *= 2.0
-
-    kkt, obj = certify(x, dual(rho * u))
+    x, it, kkt, obj, converged = _admm(
+        project, _soft, lambda w, lam: (w, dual(lam)),
+        lambda z, lam: _vertex(A, y, np.flatnonzero(z), dual(lam)), 10,
+        certify, x_ls.copy(), max(1.0, float(np.linalg.norm(y))), tol_abs, tol_rel)
     return SolverResult(x, it, kkt, _tube(A, x, y), obj, converged)
 
 
@@ -445,23 +459,20 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL,
             tol_rel: float = REL_TOL) -> SolverResult:
     """Minimize ||x||_1 subject to ||A^T(A x - y)||_inf <= lam_sigma.
 
-    Two-block ADMM on the splitting z1 = x (l1 term) and z2 = M x with
-    M = A^T A (box constraint around c = A^T y). The one factorization is
-    the eigen-decomposition M = V diag(ev) V^T: the x-update applies
-    (I + M^2)^{-1} through it, and the least-squares point is
-    x_ls = pinv(A) y = V (V^T c) / ev on the eigenvalues above
-    max(m, n) eps ev_max. When lam_sigma > 0 and ||A^T y||_inf <=
-    lam_sigma, x = 0 is feasible with l1 norm 0 and is returned exactly
-    with zero iterations. The feasible set is never empty: x_ls zeroes the
-    constraint to rounding, and a final blend toward x_ls enforces
-    feasibility at the stated absolute tolerance. A scaled dual point
-    kappa certifies optimality through the gap
-    ||x||_1 + c . kappa + lam_sigma ||kappa||_1.
-
-    Every 20 iterations _vertex polishes on the support of z1 and the rows
-    I where z2 sits on the box, held as M[I] x = c_I + lam_sigma sigma_I
-    with sigma_I the side of each; kappa_I is minus its dual point, and
-    the vertex is returned once the same certificate passes it.
+    _admm on the graph {(x, t) : t = M x}, M = A^T A, with the l1 term
+    on x and the box |t - c| <= lam_sigma around c = A^T y as its prox.
+    The one factorization is the eigen-decomposition M = V diag(ev) V^T:
+    the projection onto the graph applies (I + M^2)^{-1} through it, and
+    the least-squares point is x_ls = pinv(A) y = V (V^T c) / ev on the
+    eigenvalues above max(m, n) eps ev_max. When lam_sigma > 0 and
+    ||A^T y||_inf <= lam_sigma, x = 0 is feasible with l1 norm 0 and is
+    returned exactly with zero iterations. The feasible set is never
+    empty: x_ls zeroes the constraint to rounding, and a blend of the
+    iterate toward x_ls enforces feasibility at the stated absolute
+    tolerance. A scaled dual point kappa certifies optimality through the
+    gap ||x||_1 + c . kappa + lam_sigma ||kappa||_1. Every 20 iterations
+    _vertex polishes on the support of z's x-part and the rows where its
+    t-part sits on the box.
     """
     A = _real_matrix(A)
     m, n = A.shape
@@ -490,11 +501,11 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL,
         return SolverResult(x_ls, 0, 0.0, _tube(A, x_ls, y), obj, True)
 
     lo, hi = c - gamma, c + gamma
-    w = 1.0 / (1.0 + ev * ev)
+    damp = 1.0 / (1.0 + ev * ev)
 
     def x_solve(rhs):
         # (I + M^2)^{-1} rhs
-        return V @ (w * (V.T @ rhs))
+        return V @ (damp * (V.T @ rhs))
 
     def blend(x):
         # blend toward x_ls until the constraint holds strictly; the
@@ -519,56 +530,31 @@ def dantzig(A, y, lam_sigma: float, tol_abs: float = ABS_TOL,
         feas = max(0.0, float(np.max(np.abs(M @ x - c))) - gamma) / max(gamma, 1.0)
         return max(rel_gap, feas), obj
 
-    x = x_ls.copy()
-    z1, z2 = x.copy(), M @ x
-    u1, u2 = np.zeros(n), np.zeros(n)
-    rho = 1.0
-    eps = tol_abs * math.sqrt(2 * n) + tol_rel * max(1.0, float(np.linalg.norm(c)))
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        x = x_solve((z1 - u1) + M @ (z2 - u2))
-        Mx = M @ x
-        z1_prev, z2_prev = z1, z2
-        z1 = _soft(x + u1, 1.0 / rho)
-        z2 = np.clip(Mx + u2, lo, hi)
-        u1 = u1 + x - z1
-        u2 = u2 + Mx - z2
-        r_primal = math.hypot(float(np.linalg.norm(x - z1)), float(np.linalg.norm(Mx - z2)))
-        r_dual = rho * math.hypot(float(np.linalg.norm(z1 - z1_prev)),
-                                  float(np.linalg.norm(M @ (z2 - z2_prev))))
-        if r_primal <= eps and r_dual <= eps:
-            kkt, _ = certify(blend(x), rho * u2)
-            if kkt <= tol_rel:
-                converged = True
-                break
-            eps = max(eps * 0.2, 1e-14)
-        if it % 20 == 0:
-            # vertex polish: once the iterate has found the active set, its
-            # exact vertex is certified long before the iterates are
-            on_hi = z2 == hi
-            I = np.flatnonzero(on_hi | (z2 == lo))
-            side = np.where(on_hi[I], 1.0, -1.0)
-            polished = _vertex(M[I], c[I] + gamma * side, np.flatnonzero(z1), np.zeros(I.size))
-            if polished is not None:
-                x_p, lam = polished
-                kappa = np.zeros(n)
-                kappa[I] = -lam
-                kkt, obj = certify(x_p, kappa)
-                if kkt <= tol_rel:
-                    return SolverResult(x_p, it, kkt, _tube(A, x_p, y), obj, True)
-        if it % 100 == 0:
-            if r_primal > 10.0 * r_dual:
-                rho *= 2.0
-                u1 /= 2.0
-                u2 /= 2.0
-            elif r_dual > 10.0 * r_primal:
-                rho /= 2.0
-                u1 *= 2.0
-                u2 *= 2.0
+    def project(v):
+        # the nearest point (x, M x) of the graph: (I + M^2) x = v1 + M v2
+        x = x_solve(v[:n] + M @ v[n:])
+        return np.concatenate([x, M @ x])
 
-    x = blend(x)
-    kkt, obj = certify(x, rho * u2)
+    def prox(v, t):
+        return np.concatenate([_soft(v[:n], t), np.clip(v[n:], lo, hi)])
+
+    def vertex(z, lam):
+        # S is the support of z's x-part, I the rows where its t-part sits
+        # on the box, held as M[I] x = c_I + lam_sigma sigma_I with sigma_I
+        # the side of each; kappa_I is minus the vertex's dual point
+        on_hi = z[n:] == hi
+        I = np.flatnonzero(on_hi | (z[n:] == lo))
+        side = np.where(on_hi[I], 1.0, -1.0)
+        polished = _vertex(M[I], c[I] + gamma * side, np.flatnonzero(z[:n]), np.zeros(I.size))
+        if polished is None:
+            return None
+        kappa = np.zeros(n)
+        kappa[I] = -polished[1]
+        return polished[0], kappa
+
+    x, it, kkt, obj, converged = _admm(
+        project, prox, lambda w, lam: (blend(w[:n]), lam[n:]), vertex, 20, certify,
+        np.concatenate([x_ls, M @ x_ls]), max(1.0, float(np.linalg.norm(c))), tol_abs, tol_rel)
     return SolverResult(x, it, kkt, _tube(A, x, y), obj, converged)
 
 

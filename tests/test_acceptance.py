@@ -16,7 +16,6 @@ import numpy as np
 
 from ripless.certificates import (
     default_config,
-    golfing_scheme,
     least_squares_dual,
     verify_inexact_duality,
 )
@@ -28,7 +27,7 @@ from ripless.estimates import (
     noise_correlation_bound,
     rip_constant_exact,
 )
-from ripless.harness import ExperimentConfig, GridCell, run_experiment, trial_rng
+from ripless.harness import ExperimentConfig, GridCell, golfing_trial, run_experiment
 from ripless.solvers import basis_pursuit
 
 SEED = 20260817
@@ -174,13 +173,11 @@ def test_07_golfing_certificate_rate_and_soundness():
     schedule = default_config(n, s, mu=1.0)
     assert schedule.total_rows <= 40 * s * math.log(n)
 
+    # the cell's schedule, config_from_total(n, s, m), is this default one
+    cell = GridCell(n, s, int(40 * s * math.log(n)))
+
     def one(t):
-        rng = trial_rng(SEED, 0, t)
-        idx = np.sort(rng.choice(n, s, replace=False))
-        signs = np.zeros(n)
-        signs[idx] = rng.choice([-1.0, 1.0], s)
-        support = SupportSet(tuple(int(k) for k in idx), n)
-        cert = golfing_scheme(spec, support, signs, schedule, rng)
+        support, signs, cert = golfing_trial(spec, cell, SEED, 0, t)
         if not cert.success:
             return False, True
         sound = verify_inexact_duality(cert, cert.matrix, support, signs).passed

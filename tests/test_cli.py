@@ -142,6 +142,13 @@ class TestCertify:
         assert main(["certify", "--ensemble", str(spec_file), "--n", "64",
                      "--s", "1", "--m", "80", "--trials", "1"]) == 1
         assert "disagrees" in capsys.readouterr().err
+        # a file that holds no object used to end in a traceback
+        for text, n in (("[1, 2]", ["--n", "32"]), ("5", [])):
+            spec_file.write_text(text)
+            assert main(["certify", "--ensemble", str(spec_file), *n, "--s", "1",
+                         "--m", "80", "--trials", "1"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: ensemble must be a family name, a path or an object, got {text}\n")
 
 
 class TestEstimate:
@@ -196,6 +203,11 @@ class TestEstimate:
         assert main(["estimate", "--which", "noise", "--grid", "[5]",
                      "--trials", "5"]) == 1
         assert capsys.readouterr().err == "error: grid cell 0 must be an object, got 5\n"
+        # an ensemble that is a number used to end in an AttributeError traceback
+        grid = json.dumps([{"ensemble": 5, "n": 16, "s": 2, "m": 20, "level": 0.5}])
+        assert main(["estimate", "--which", "e1", "--grid", grid, "--trials", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ensemble must be a family name, a path or an object, got 5\n")
         with pytest.raises(SystemExit):
             main(["estimate", "--which", "e9", "--grid", "[]"])
 
@@ -280,6 +292,9 @@ class TestRunReplay:
         ("ensemble", "gaussian"),
         ("grid", [{"n": 64.7, "s": 3, "m": 30}]),
         ("ensemble", {"family": "gaussian", "n": 64.7}),
+        # params that are not an object used to end in a TypeError traceback
+        ("ensemble", {"family": "gaussian", "n": 64, "params": 5}),
+        ("ensemble", {"family": "gaussian", "n": 64, "params": [1, 2]}),
     ])
     def test_run_rejects_malformed_config(self, tmp_path, capsys, key, value):
         cfg = self.config_file(tmp_path, **{key: value})

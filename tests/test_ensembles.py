@@ -69,6 +69,12 @@ def test_spec_json_round_trip_all_families():
             assert np.allclose(back.params[key], spec.params[key], atol=1e-15)
 
 
+def test_from_dict_rejects_params_that_are_not_an_object():
+    for params in (5, [1, 2], "u", [], 0):
+        with pytest.raises(ValueError, match="'params' must be an object"):
+            EnsembleSpec.from_dict({"family": "gaussian", "n": 8, "params": params})
+
+
 def test_spec_json_round_trip_complex_orthogonal():
     n = 4
     dft = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)

@@ -477,6 +477,46 @@ def test_dantzig_falls_back_to_the_admm_until_the_active_set_squares(monkeypatch
     assert res.converged and abs(res.objective - obj_lp) <= 1e-8 * obj_lp
 
 
+def test_both_lps_run_the_one_admm_loop(monkeypatch):
+    # basis pursuit on a rank-deficient system and Dantzig on a non-trivial
+    # one each enter solvers._admm exactly once. Dantzig's iterates w = (x, t)
+    # lie on the graph t = M x; the polish is withheld in a second Dantzig
+    # run, since it ends the first before any stopping test hands an
+    # iterate to the candidate function
+    import ripless.solvers as solvers_module
+
+    real_admm = solvers_module._admm
+    entered, iterates = [], []
+    withhold = False
+
+    def counting(project, prox, candidate, vertex, *rest):
+        def recording(w, lam):
+            iterates.append(w.copy())
+            return candidate(w, lam)
+
+        entered.append(1)
+        return real_admm(project, prox, recording,
+                         (lambda z, lam: None) if withhold else vertex, *rest)
+
+    monkeypatch.setattr(solvers_module, "_admm", counting)
+    A, y = repeated_columns(3)
+    assert basis_pursuit(A, y).iterations > 0 and len(entered) == 1
+
+    A, x, y = planted(16, 2, 12, 0, sigma=0.1)
+    gamma = default_lambda(16) * 0.1 / math.sqrt(12)
+    _, obj_lp = dantzig_lp_oracle(A, y, gamma)
+    for withhold in (False, True):
+        entered.clear()
+        iterates.clear()
+        res = dantzig(A, y, gamma)
+        assert len(entered) == 1 and res.iterations > 0 and res.converged
+        assert abs(res.objective - obj_lp) <= 1e-6 * obj_lp
+    assert len(iterates) >= 2  # a rejected candidate, then the accepted one
+    M = A.T @ A
+    for w in iterates:
+        assert np.allclose(w[16:], M @ w[:16], rtol=0.0, atol=1e-12 * np.max(np.abs(w)))
+
+
 def test_dantzig_gamma_zero_collapses_to_equality_system():
     rng = np.random.default_rng(51)
     A = rng.standard_normal((10, 6))  # full column rank: unique feasible point
