@@ -4,9 +4,9 @@ The commands are thin wrappers over the library; anything they print can
 be reproduced by the documented calls. `certify` runs the harness's
 `golfing_trial`, so its row t equals trial t of cell 0 of a
 certificate_rate run at the same seed, and the e1..e4 rows of `estimate`
-run `estimate_cell`, so row i equals cell i of an estimate_sweep run at
-the same seed. The weakrip and noise rows draw from the same per-cell
-generator, SeedSequence(seed, spawn_key=(i,)).
+run `run_cell` on a one-cell estimate_sweep config, so row i equals cell
+i of an estimate_sweep run at the same seed. The weakrip and noise rows
+draw from the same per-cell generator, SeedSequence(seed, spawn_key=(i,)).
 
 File schemas (all JSON):
 
@@ -56,10 +56,10 @@ from .harness import (
     ExperimentConfig,
     GridCell,
     config_hash,
-    estimate_cell,
     format_csv,
     golfing_trial,
     replay_trial,
+    run_cell,
     run_experiment,
 )
 from .solvers import basis_pursuit, dantzig, default_lambda, lasso
@@ -197,11 +197,6 @@ def _estimate_cell_spec(cell: dict, i: int, which: str) -> EnsembleSpec:
     return _ensemble_from_arg(cell["ensemble"], n)
 
 
-def _report_columns(report) -> dict:
-    return {"empirical_rate": report.empirical_rate, "bound": report.theoretical_bound,
-            "ci_upper": report.ci_upper, "pass": report.passed}
-
-
 def cmd_estimate(args) -> int:
     doc = _load_doc(args.grid)
     cells = doc["cells"] if isinstance(doc, dict) else doc
@@ -216,10 +211,14 @@ def cmd_estimate(args) -> int:
         if which in ("e1", "e2", "e3", "e4"):
             grid_cell = GridCell(spec.n, doc_int(cell, "s", where), doc_int(cell, "m", where))
             level = doc_float(cell, "level", where=where)
-            report = estimate_cell(which.upper(), spec, grid_cell, level, args.trials,
-                                   args.seed, i)
+            config = ExperimentConfig(kind="estimate_sweep", ensemble=spec, grid=(grid_cell,),
+                                      trials=args.trials, seed=args.seed, which=which,
+                                      level=level)
+            out = run_cell(config, spec, grid_cell, i)
             rows.append({**head, "s": grid_cell.s, "m": grid_cell.m, "level": level,
-                         "trials": args.trials, **_report_columns(report)})
+                         "trials": args.trials, "empirical_rate": out["empirical_rate"],
+                         "bound": out["theoretical_bound"], "ci_upper": out["ci_upper"],
+                         "pass": out["passed"]})
             continue
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
         if which == "weakrip":
@@ -248,7 +247,9 @@ def cmd_estimate(args) -> int:
             A = build_matrix(spec, m, rng=rng)
             report = noise_correlation_bound(A, sigma).exceedance(args.trials, rng=rng)
             rows.append({**head, "m": m, "sigma": sigma, "trials": args.trials,
-                         **_report_columns(report)})
+                         "empirical_rate": report.empirical_rate,
+                         "bound": report.theoretical_bound, "ci_upper": report.ci_upper,
+                         "pass": report.passed})
     # every row of one kind has the same keys, in column order
     print(format_csv(tuple(rows[0]), rows), end="")
     return 0

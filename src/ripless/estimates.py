@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,14 +253,15 @@ def _event_occurs(which, spec, m, support, v, level, rng) -> bool:
 
 
 def empirical_estimate(which: str, spec: EnsembleSpec, m: int, target, level: float,
-                       trials: int, rng=None, mu: float | None = None,
-                       threads: int = 1) -> EmpiricalReport:
+                       trials: int, rng=None, mu: float | None = None) -> EmpiricalReport:
     """Replay one estimate's random event and compare against its bound.
 
     Each trial draws fresh raw rows and evaluates the event's exact
     statistic straight from that draw: small products of the rows with
     themselves, scaled by 1/m afterwards, with no normalized copy of the
-    m x n matrix.
+    m x n matrix. Trial i runs on the i-th stream spawned from `rng`, in
+    turn; the harness's estimate_sweep trial is the same event on that
+    stream when `rng` is the generator that drew the cell's target.
 
     Parameters
     ----------
@@ -277,9 +277,6 @@ def empirical_estimate(which: str, spec: EnsembleSpec, m: int, target, level: fl
     mu : float, optional
         Coherence for the theoretical bound. Defaults to the family's
         deterministic coherence; mandatory for the gaussian family.
-    threads : int
-        Trials are independent with split RNG streams and merge by exact
-        counting, so the result is identical at any thread count.
     """
     which = which.upper()
     if which not in ESTIMATES:
@@ -312,17 +309,9 @@ def empirical_estimate(which: str, spec: EnsembleSpec, m: int, target, level: fl
 
     base = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
         rng if rng is not None else spec.seed)
-    streams = base.spawn(trials)
-
-    def one(i):
-        return _event_occurs(which, spec, m, support, v, level, streams[i])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(one, range(trials)))
-    else:
-        flags = [one(i) for i in range(trials)]
-    return EmpiricalReport.from_counts(int(sum(flags)), trials, bound)
+    failures = sum(_event_occurs(which, spec, m, support, v, level, stream)
+                   for stream in base.spawn(trials))
+    return EmpiricalReport.from_counts(failures, trials, bound)
 
 
 @dataclass(frozen=True)
@@ -367,6 +356,8 @@ def weak_rip_empirical(A, T, r: int, delta: float, mode: str = "exhaustive",
         raise ValueError("need 0 <= r <= n - |T|")
     if T.size + r == 0:
         raise ValueError("need |T| + r >= 1")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     free = T.complement()
     total = math.comb(free.size, r)
 
@@ -378,6 +369,8 @@ def weak_rip_empirical(A, T, r: int, delta: float, mode: str = "exhaustive",
         candidates = itertools.combinations(free.tolist(), r)
         checked = total
     elif mode == "sampled":
+        if budget < 1:
+            raise ValueError(f"sampled mode needs budget >= 1, got {budget}")
         gen = np.random.default_rng(rng)
         candidates = (tuple(gen.choice(free, size=r, replace=False).tolist())
                       for _ in range(budget))
@@ -492,8 +485,8 @@ def noise_correlation_bound(A, sigma: float = 1.0, with_projection: bool = False
     n = A.shape[1]
     if n < 2:
         raise ValueError("the bound needs n >= 2")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     B = A
     if with_projection:
         if T is None:

@@ -4,12 +4,12 @@ Five experiment kinds cover the library's claims at desk scale: noiseless
 phase transitions, noisy error scaling, golfing certificate rates,
 estimate-validation sweeps, and cross-ensemble comparisons. Each kind is
 defined once, in the `_KINDS` table: a trial function that runs one trial
-and returns its private details, a cell function that turns a cell's
-trials into CSV columns, and the CSV's column list. `run_experiment` runs
-the cell functions, `replay_trial` calls the trial function, and the
-`certify` and `estimate` commands call `golfing_trial` and
-`estimate_cell`, the same functions the certificate and estimate kinds
-use.
+and returns its private details, an aggregate that turns a cell's trial
+records into CSV columns, and the CSV's column list. `run_cell` runs a
+cell's trials, in the library's one thread pool when threads > 1, and
+aggregates them; `run_experiment` and the e1..e4 rows of the `estimate`
+command call it, `replay_trial` calls the trial function, and `certify`
+calls `golfing_trial`, the certificate trial's draw.
 
 A run is fully determined by (config, seed): every trial owns the
 substream rng(seed, cell, trial) derived by SeedSequence spawn keys, and
@@ -19,19 +19,18 @@ the config.json sidecar, never in the CSV, to keep the CSV reproducible.
 
 Within a recovery trial the stream is consumed in a fixed order: signal
 first (support, then amplitudes), then the sensing matrix, then
-measurement noise. An estimate_sweep cell instead derives one generator
-from SeedSequence(seed, spawn_key=(cell,)) and draws the target from it;
-trial t's event draws from that generator's t-th spawned stream, which is
-trial_rng(seed, cell, t).
+measurement noise. An estimate_sweep trial draws the cell's target from
+SeedSequence(seed, spawn_key=(cell,)), the same target in every trial of
+the cell, and its event from trial_rng(seed, cell, t).
 
 Complex ensembles are realified for the recovery experiments: a cell's m
 counts ensemble draws, the solved real system has 2m rows, and the noise
 scale is sigma / sqrt(2m) per realified row, matching the per-measurement
 normalization of the model on the system actually handed to the solver.
 
-The solvers, `golfing_scheme`, `empirical_estimate` and `trial_rng` are
-looked up as module globals at call time, so a caller that rebinds them
-here (a tracer, a test) sees every call.
+The solvers, `golfing_scheme` and `trial_rng` are looked up as module
+globals at call time, so a caller that rebinds them here (a tracer, a
+test) sees every call.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 from .certificates import config_from_total, default_batch_count, golfing_scheme
 from .core import SupportSet, doc_float, doc_int, realify
 from .ensembles import EnsembleSpec, build_matrix, deterministic_coherence
-from .estimates import empirical_estimate
+from .estimates import ESTIMATES, EmpiricalReport, TailBoundQuery, _event_occurs, tail_value
 from .solvers import (
     ErrorBoundInputs,
     basis_pursuit,
@@ -69,21 +68,13 @@ __all__ = [
     "trial_rng",
     "plant_signal",
     "golfing_trial",
-    "estimate_cell",
+    "run_cell",
     "run_experiment",
     "replay_trial",
     "format_csv",
 ]
 
-KINDS = (
-    "phase_transition",
-    "error_scaling",
-    "certificate_rate",
-    "estimate_sweep",
-    "ensemble_compare",
-)
 SIGNAL_MODELS = ("pm1", "gaussian", "decay")
-ESTIMATE_KINDS = ("E1", "E2", "E3", "E4")
 
 # Exact recovery is declared at solver precision, not at machine zero.
 SUCCESS_REL_TOL = 1e-5
@@ -228,11 +219,17 @@ class ExperimentConfig:
                         f"(needs >= {floor})"
                     )
         if self.kind == "estimate_sweep":
-            if self.which is None or self.which.upper() not in ESTIMATE_KINDS:
-                raise ValueError(f"estimate_sweep needs which in {ESTIMATE_KINDS}")
+            if self.which is None or self.which.upper() not in ESTIMATES:
+                raise ValueError(f"estimate_sweep needs which in {ESTIMATES}")
             object.__setattr__(self, "which", self.which.upper())
-            if self.level is None:
-                raise ValueError("estimate_sweep needs a deviation level")
+            if self.level is None or self.level < 0.0:
+                raise ValueError(f"estimate_sweep needs a level >= 0, got {self.level!r}")
+            for cell in grid:
+                if cell.s < 1:
+                    raise ValueError(f"estimate_sweep cells need s >= 1, got s = {cell.s}")
+                if self.which == "E4" and self.level > math.sqrt(cell.s):
+                    raise ValueError(f"E4 needs level <= sqrt(s), got level = {self.level} "
+                                     f"at s = {cell.s}")
 
     @property
     def all_ensembles(self) -> tuple:
@@ -420,56 +417,27 @@ def _certificate_trial(config, spec, cell, index, trial) -> dict:
     }
 
 
-def _estimate_draw(which: str, cell: GridCell, seed: int, index: int):
-    # (generator, support, unit vector or None), the vector for E2/E3 only
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-    idx = np.sort(rng.choice(cell.n, cell.s, replace=False))
-    support = SupportSet(tuple(int(k) for k in idx), cell.n)
-    if which in ("E1", "E4"):
-        return rng, support, None
-    v = np.zeros(cell.n)
-    amps = rng.standard_normal(cell.s)
-    v[idx] = amps / np.linalg.norm(amps)
-    return rng, support, v
-
-
-def estimate_cell(which: str, spec: EnsembleSpec, cell: GridCell, level: float,
-                  trials: int, seed: int, index: int, threads: int = 1):
-    """empirical_estimate for one cell. SeedSequence(seed, spawn_key=(index,))
-    draws the target (a uniform size-s support for E1/E4, a unit vector with
-    Gaussian amplitudes on one for E2/E3), then goes to empirical_estimate
-    with the coherence mu of the spec (6 log n for the gaussian family)."""
-    rng, support, v = _estimate_draw(which, cell, seed, index)
-    return empirical_estimate(which, spec, cell.m, support if v is None else v, level,
-                              trials, rng=rng, mu=_reference_mu(spec), threads=threads)
-
-
 def _event_trial(config, spec, cell, index, trial) -> dict:
-    from .estimates import _event_occurs
-
-    _, support, v = _estimate_draw(config.which, cell, config.seed, index)
+    # SeedSequence(seed, spawn_key=(index,)) draws the cell's target: a
+    # uniform size-s support, then for E2/E3 a unit vector with Gaussian
+    # amplitudes on it
+    target = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(index,)))
+    idx = np.sort(target.choice(cell.n, cell.s, replace=False))
+    support = SupportSet(tuple(int(k) for k in idx), cell.n)
+    v = None
+    if config.which in ("E2", "E3"):
+        v = np.zeros(cell.n)
+        amps = target.standard_normal(cell.s)
+        v[idx] = amps / np.linalg.norm(amps)
     event = _event_occurs(config.which, spec, cell.m, support, v, config.level,
                           trial_rng(config.seed, index, trial))
     return {"which": config.which, "level": config.level, "event": bool(event),
             "support": list(support.indices)}
 
 
-# -- cell functions: (config, spec, cell, cell index, threads) -> columns --
+# -- aggregates: (config, spec, cell, trial records) -> CSV columns --------
 
-def _cell_trials(config, spec, cell, index, threads) -> list:
-    trial = _KINDS[config.kind][0]
-
-    def run(t):
-        return trial(config, spec, cell, index, t)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(config.trials)))
-    return [run(t) for t in range(config.trials)]
-
-
-def _success_cell(config, spec, cell, index, threads) -> dict:
-    outs = _cell_trials(config, spec, cell, index, threads)
+def _success_cell(config, spec, cell, outs) -> dict:
     return {
         "success_rate": sum(o["success"] for o in outs) / config.trials,
         "nonconverged": sum(not o["converged"] for o in outs),
@@ -477,8 +445,7 @@ def _success_cell(config, spec, cell, index, threads) -> dict:
     }
 
 
-def _error_cell(config, spec, cell, index, threads) -> dict:
-    outs = _cell_trials(config, spec, cell, index, threads)
+def _error_cell(config, spec, cell, outs) -> dict:
     mu = _reference_mu(spec)
     l2_bounds, l1_bounds = [], []
     for o in outs:
@@ -495,8 +462,7 @@ def _error_cell(config, spec, cell, index, threads) -> dict:
     }
 
 
-def _certificate_cell(config, spec, cell, index, threads) -> dict:
-    outs = _cell_trials(config, spec, cell, index, threads)
+def _certificate_cell(config, spec, cell, outs) -> dict:
     return {
         "success_rate": sum(o["success"] for o in outs) / config.trials,
         "rate_reference": max(0.0, 1.0 - 1.0 / cell.n - math.exp(-config.beta)),
@@ -506,9 +472,10 @@ def _certificate_cell(config, spec, cell, index, threads) -> dict:
     }
 
 
-def _estimate_cell(config, spec, cell, index, threads) -> dict:
-    report = estimate_cell(config.which, spec, cell, config.level, config.trials,
-                           config.seed, index, threads)
+def _estimate_cell(config, spec, cell, outs) -> dict:
+    bound = tail_value(TailBoundQuery(m=cell.m, s=cell.s, n=cell.n, mu=_reference_mu(spec),
+                                      level=config.level, which=config.which))
+    report = EmpiricalReport.from_counts(sum(o["event"] for o in outs), config.trials, bound)
     return {
         "which": config.which,
         "level": config.level,
@@ -522,7 +489,7 @@ def _estimate_cell(config, spec, cell, index, threads) -> dict:
 
 _CELL_COLUMNS = ("cell", "n", "s", "m", "sigma", "trials")
 
-# kind -> (trial function, cell function, CSV columns)
+# kind -> (trial function, aggregate, CSV columns)
 _KINDS = {
     "phase_transition": (_recovery_trial, _success_cell, _CELL_COLUMNS + (
         "success_rate", "nonconverged", "m_sufficient")),
@@ -538,6 +505,7 @@ _KINDS = {
         "cell", "ensemble", "n", "s", "m", "sigma", "trials", "success_rate",
         "nonconverged", "m_sufficient")),
 }
+KINDS = tuple(_KINDS)
 
 
 def _cells(config: ExperimentConfig) -> list:
@@ -547,6 +515,26 @@ def _cells(config: ExperimentConfig) -> list:
     specs = config.all_ensembles if config.kind == "ensemble_compare" else (config.ensemble,)
     return [(i * len(specs) + j, cell, spec)
             for i, cell in enumerate(config.grid) for j, spec in enumerate(specs)]
+
+
+def run_cell(config: ExperimentConfig, spec: EnsembleSpec, cell: GridCell, index: int,
+             threads: int = 1) -> dict:
+    """The kind's aggregate over trials 0..trials-1 of the cell whose CSV cell
+    column is `index`, run in a pool of `threads` threads when threads > 1;
+    each trial owns its stream, so any thread count gives the same columns."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    trial, aggregate, _ = _KINDS[config.kind]
+
+    def run(t):
+        return trial(config, spec, cell, index, t)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outs = list(pool.map(run, range(config.trials)))
+    else:
+        outs = [run(t) for t in range(config.trials)]
+    return aggregate(config, spec, cell, outs)
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> "ExperimentResult":
@@ -563,15 +551,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> "ExperimentRes
     guarantee 1 - 1/n - exp(-beta), and the median margins
     1/4 - ||v_T - sgn|| and 1/4 - ||v_off||_inf.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    _, cell_columns, columns = _KINDS[config.kind]
     records = []
     for index, cell, spec in _cells(config):
         start = time.perf_counter()
         rec = {"cell": index, "ensemble": spec.family, **cell.to_doc(),
                "trials": config.trials}
-        rec.update(cell_columns(config, spec, cell, index, threads))
+        rec.update(run_cell(config, spec, cell, index, threads))
         rec["wall_time_s"] = time.perf_counter() - start
         records.append(rec)
     metadata = {
@@ -583,7 +568,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> "ExperimentRes
         metadata["slope_log_err2_vs_log_s_over_m"] = _fit_slope(records)
     return ExperimentResult(
         kind=config.kind,
-        columns=columns,
+        columns=_KINDS[config.kind][2],
         records=tuple(records),
         seed=config.seed,
         config_hash=config_hash(config),

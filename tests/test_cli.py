@@ -152,24 +152,34 @@ class TestCertify:
 
 
 class TestEstimate:
-    def test_e_rows_match_direct_call(self, tmp_path, capsys):
+    @pytest.mark.parametrize("which, level", [("e1", 0.5), ("e2", 0.3), ("e3", 0.5),
+                                              ("e4", 0.7)])
+    def test_e_rows_match_direct_call(self, tmp_path, capsys, which, level):
+        # the rows run the harness's estimate trial; empirical_estimate is the
+        # library's own loop over the same events, so the two must agree
         grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps(
-            [{"ensemble": {"family": "subsampled_dft", "n": 64},
-              "s": 3, "m": 40, "level": 0.5}]))
-        assert main(["estimate", "--which", "e1", "--grid", str(grid),
+        cell = {"ensemble": {"family": "subsampled_dft", "n": 64}, "s": 3, "m": 24,
+                "level": level}
+        grid.write_text(json.dumps([{**cell, "m": 40}, cell]))
+        assert main(["estimate", "--which", which, "--grid", str(grid),
                      "--trials", "50", "--seed", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == ("which,family,n,s,m,level,trials,"
                             "empirical_rate,bound,ci_upper,pass")
-        fields = lines[1].split(",")
-        rng = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(0,)))
+        fields = lines[2].split(",")
+        rng = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(1,)))
         idx = np.sort(rng.choice(64, 3, replace=False))
-        report = empirical_estimate("E1", EnsembleSpec("subsampled_dft", 64), 40,
-                                    SupportSet(tuple(int(k) for k in idx), 64),
-                                    0.5, 50, rng=rng, mu=1.0)
+        target = SupportSet(tuple(int(k) for k in idx), 64)
+        if which in ("e2", "e3"):
+            amps = rng.standard_normal(3)
+            target = np.zeros(64)
+            target[idx] = amps / np.linalg.norm(amps)
+        report = empirical_estimate(which.upper(), EnsembleSpec("subsampled_dft", 64), 24,
+                                    target, level, 50, rng=rng, mu=1.0)
+        assert 0 < report.failures < 50
         assert float(fields[7]) == report.empirical_rate
         assert float(fields[8]) == report.theoretical_bound
+        assert float(fields[9]) == report.ci_upper
         assert fields[10] == ("true" if report.passed else "false")
 
     def test_weakrip_generous_delta_passes(self, capsys):
@@ -238,6 +248,28 @@ class TestEstimate:
         assert main(["estimate", "--which", which, "--grid", grid, "--trials", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: grid cell 0 key '{key}'") and "Traceback" not in err
+
+    def test_empty_support_is_refused_before_any_trial(self, capsys):
+        grid = json.dumps([{"ensemble": "binary", "n": 16, "s": 0, "m": 20, "level": 0.5}])
+        assert main(["estimate", "--which", "e1", "--grid", grid, "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: estimate_sweep cells need s >= 1, got s = 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("which, cell, key", [
+        # a check no draw can fail (or, for a NaN delta, no draw can pass) is an error
+        ("noise", {"m": 16, "sigma": math.nan}, "sigma"),
+        ("noise", {"m": 16, "sigma": math.inf}, "sigma"),
+        ("weakrip", {"s": 2, "r": 1, "m": 40, "delta": 0.5, "mode": "sampled",
+                     "budget": 0}, "budget"),
+        ("weakrip", {"s": 2, "r": 1, "m": 40, "delta": math.nan}, "delta"),
+    ])
+    def test_checks_that_cannot_fail_are_refused(self, capsys, which, cell, key):
+        grid = json.dumps([{"ensemble": "gaussian", "n": 16, **cell}])
+        assert main(["estimate", "--which", which, "--grid", grid, "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and key in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", [
         ["certify", "--ensemble", "subsampled_dft", "--n", "64", "--s", "1", "--m", "150"],

@@ -268,13 +268,6 @@ def test_empirical_estimate_dft_complex_path():
     assert rep.passed
 
 
-def test_empirical_estimate_threads_deterministic():
-    T = SupportSet(tuple(range(3)), 16)
-    reps = [empirical_estimate("E1", EnsembleSpec("binary", 16), 60, T, 0.4, trials=120, rng=21,
-                               threads=k) for k in (1, 4)]
-    assert reps[0].failures == reps[1].failures
-
-
 def test_empirical_estimate_validation():
     T = SupportSet((0,), 8)
     with pytest.raises(ValueError):
@@ -476,6 +469,19 @@ def test_weak_rip_exhaustive_refusal_and_validation():
         weak_rip_empirical(A, SupportSet((), 60), 0, delta=0.5)  # nothing to measure
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    # a budget of 0 checks no set, so no draw could ever violate
+    ({"delta": 0.5, "mode": "sampled", "budget": 0}, "budget"),
+    ({"delta": 0.5, "mode": "sampled", "budget": -3}, "budget"),
+    # no deviation compares meaningfully with a NaN or infinite delta
+    ({"delta": math.nan}, "delta"),
+    ({"delta": math.inf, "mode": "sampled", "budget": 5}, "delta"),
+])
+def test_weak_rip_refuses_empty_budget_and_nonfinite_delta(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        weak_rip_empirical(np.eye(8), SupportSet((0, 1), 8), 1, **kwargs)
+
+
 # --- exact RIP constant -------------------------------------------------------------
 
 def test_rip_exact_orthonormal_is_zero():
@@ -608,6 +614,13 @@ def test_noise_projection_validation():
         noise_correlation_bound(np.ones((3, 1)))  # n < 2
     with pytest.raises(ValueError):
         noise_correlation_bound(np.eye(4), sigma=-0.5)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_noise_bound_refuses_nonfinite_sigma(sigma):
+    # no draw exceeds a NaN or infinite threshold, so the check could not fail
+    with pytest.raises(ValueError, match="sigma"):
+        noise_correlation_bound(np.eye(4), sigma=sigma)
 
 
 def test_noise_exceedance_blocks_match_per_draw_loop():

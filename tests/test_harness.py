@@ -80,6 +80,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             phase_config(clean, lam=0.0)
 
+    @pytest.mark.parametrize("which, s, level, match", [
+        ("E1", 0, 0.5, "s >= 1, got s = 0"),
+        ("E3", 0, 0.5, "s >= 1, got s = 0"),
+        ("E2", 2, -0.1, "level >= 0, got -0.1"),
+        ("E4", 2, 1.5, "level <= sqrt"),
+    ])
+    def test_estimate_cells_that_cannot_run_are_refused(self, which, s, level, match):
+        # refused before any trial draws, not after every trial has run
+        grid = (GridCell(64, 3, 40), GridCell(64, s, 40))
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(kind="estimate_sweep", ensemble=GAUSS64, grid=grid,
+                             trials=5, seed=1, which=which, level=level)
+
     @pytest.mark.parametrize("beta", [math.nan, 0.0, -5.0])
     def test_beta_must_be_positive(self, beta):
         # a bad beta would turn certificate_rate's rate_reference into 0.0
@@ -458,17 +471,14 @@ def test_replays_recompute_every_aggregate(kind):
 def test_harness_finds_rebound_names_at_call_time(cfg, monkeypatch):
     # a tracer rebinds these names in ripless.harness and must see every call
     log = []
-    for name in ("trial_rng", "basis_pursuit", "lasso", "dantzig", "golfing_scheme",
-                 "empirical_estimate"):
+    for name in ("trial_rng", "basis_pursuit", "lasso", "dantzig", "golfing_scheme"):
         def counted(*args, _name=name, _original=getattr(harness, name), **kwargs):
             log.append((_name, args[1:]) if _name == "trial_rng" else (_name,))
             return _original(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
     run_experiment(cfg)
-    if cfg.kind == "estimate_sweep":
-        assert log == [("empirical_estimate",)] * len(cfg.grid)
-        return
-    solver = {"error_scaling": cfg.program, "certificate_rate": "golfing_scheme"}.get(
-        cfg.kind, "basis_pursuit")
+    # an estimate trial runs no solver, only its event on trial_rng
+    solver = {"error_scaling": [(cfg.program,)], "certificate_rate": [("golfing_scheme",)],
+              "estimate_sweep": []}.get(cfg.kind, [("basis_pursuit",)])
     assert log == [call for cell in range(_cell_count(cfg)) for t in range(cfg.trials)
-                   for call in (("trial_rng", (cell, t)), (solver,))]
+                   for call in [("trial_rng", (cell, t)), *solver]]
